@@ -201,7 +201,6 @@ def run_datacenter(
     jobs: Optional[int] = None,
     record_timeseries: Union[None, bool, str, object] = None,
     profile: Union[None, bool, object] = None,
-    bulk_datapath: bool = True,
     window_ns: Optional[int] = None,
     trace_requests: Union[None, bool, int, object] = None,
     profile_fleet: bool = False,
@@ -219,8 +218,6 @@ def run_datacenter(
     - ``record_timeseries``: flight-recorder spec; the first few servers
       are recorded and their bundles merged with node-name prefixes.
     - ``profile``: per-shard simulator self-profiles on the result.
-    - ``bulk_datapath``: vectorize frontend bursts through the link/
-      switch/NIC ``receive_burst`` path (frontend mode only).
     - ``window_ns``: override the conservative sync window (testing).
     - ``trace_requests``: cross-shard request tracing spec (``True``,
       a sample-every int, or a TraceConfig); frontend mode only.
@@ -239,7 +236,6 @@ def run_datacenter(
         jobs=jobs,
         record_timeseries=record_timeseries,
         profile=profile,
-        bulk_datapath=bulk_datapath,
         window_ns=window_ns,
         trace_requests=trace_requests,
         profile_fleet=profile_fleet,

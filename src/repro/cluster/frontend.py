@@ -311,16 +311,14 @@ class FrontendPort:
     """Shard-local network endpoint of the frontend for ONE server.
 
     The sending half of the tier: it injects the coordinator's planned
-    dispatches into the shard simulator (vectorized through the bulk
-    datapath by default) and records RTTs of the responses the server
-    routes back, with the same windowed accounting as
-    :class:`~repro.apps.client.OpenLoopClient`.
+    dispatches into the shard simulator (one vectorized send per window)
+    and records RTTs of the responses the server routes back, with the
+    same windowed accounting as :class:`~repro.apps.client.OpenLoopClient`.
     """
 
-    def __init__(self, sim: Simulator, name: str, bulk: bool = True):
+    def __init__(self, sim: Simulator, name: str):
         self._sim = sim
         self.name = name
-        self.bulk = bulk
         self._port: Optional[LinkPort] = None
         self.sent: Dict[int, int] = {}       # req_id -> send time
         self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
@@ -348,31 +346,18 @@ class FrontendPort:
         """Inject planned ``(send_ns, frame)`` pairs (non-decreasing times).
 
         All sends must fall inside the window about to execute, i.e. they
-        complete before the shard's next boundary report.  The bulk path
-        books the sends up front and hands the whole vector to the link;
-        the scalar path scheduls one send event per frame — both record
-        the same send timestamps.
+        complete before the shard's next boundary report.  The sends are
+        booked up front and the whole vector goes to the link at once.
         """
         assert self._port is not None, "frontend port not attached"
-        if not dispatches:
-            return
-        if self.bulk:
-            times: List[int] = []
-            frames: List[Frame] = []
-            for send_ns, frame in dispatches:
-                self.sent[frame.req_id] = send_ns
-                self.requests_sent += 1
-                times.append(send_ns)
-                frames.append(frame)
-            self._port.send_vector(times, frames)
-        else:
-            for send_ns, frame in dispatches:
-                self._sim.schedule_at(send_ns, self._send_one, frame)
-
-    def _send_one(self, frame: Frame) -> None:
-        self.sent[frame.req_id] = self._sim.now
-        self.requests_sent += 1
-        self._port.send(frame)
+        times: List[int] = []
+        frames: List[Frame] = []
+        for send_ns, frame in dispatches:
+            self.sent[frame.req_id] = send_ns
+            self.requests_sent += 1
+            times.append(send_ns)
+            frames.append(frame)
+        self._port.send_vector(times, frames)
 
     @property
     def outstanding(self) -> int:

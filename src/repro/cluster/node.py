@@ -181,10 +181,6 @@ class ServerNode:
     def receive_frame(self, frame: Frame) -> None:
         self.nic.receive_frame(frame)
 
-    def receive_burst(self, frames, times) -> None:
-        """Vectorized link delivery — hands the whole burst to the NIC."""
-        self.nic.receive_burst(frames, times)
-
     def attach_port(self, port: LinkPort) -> None:
         self.nic.attach_port(port)
 

@@ -187,7 +187,6 @@ class ShardRun:
         record_indices: Sequence[int] = (),
         recorder_config: Optional[RecorderConfig] = None,
         profiler: Optional[SimProfiler] = None,
-        bulk_datapath: bool = True,
         trace_sample_every: Optional[int] = None,
         energy_attribution: bool = False,
     ):
@@ -246,9 +245,7 @@ class ShardRun:
                 self._accountings[server.name] = accounting
 
             if config.frontend is not None:
-                port = FrontendPort(
-                    self.sim, f"frontend{i}", bulk=bulk_datapath
-                )
+                port = FrontendPort(self.sim, f"frontend{i}")
                 fe_link = Link(self.sim, gbps(10), 1 * US)
                 fe_link.attach(port, self.switch)
                 port.attach_port(fe_link.endpoint_port(port))
@@ -452,7 +449,6 @@ class _ShardHost:
         recorder_config: Optional[RecorderConfig] = None,
         profile: bool = False,
         profiler: Optional[SimProfiler] = None,
-        bulk_datapath: bool = True,
         trace_sample_every: Optional[int] = None,
         energy_attribution: bool = False,
     ):
@@ -470,7 +466,6 @@ class _ShardHost:
                 record_indices=record_indices,
                 recorder_config=recorder_config,
                 profiler=shard_profiler,
-                bulk_datapath=bulk_datapath,
                 trace_sample_every=trace_sample_every,
                 energy_attribution=energy_attribution,
             )
@@ -592,7 +587,6 @@ class ShardedDatacenterRun:
         jobs: Optional[int] = None,
         record_timeseries: Union[None, bool, str, object] = None,
         profile: Union[None, bool, SimProfiler] = None,
-        bulk_datapath: bool = True,
         window_ns: Optional[int] = None,
         trace_requests: Union[None, bool, int, TraceConfig] = None,
         profile_fleet: bool = False,
@@ -619,7 +613,6 @@ class ShardedDatacenterRun:
             )
         self._profiler = profile if isinstance(profile, SimProfiler) else None
         self._profile = bool(profile) and self._profiler is None
-        self._bulk = bulk_datapath
         # Fleet observers (never in the config hash, never able to change
         # the simulated outcome — the parity suites prove it).
         self._trace_config = resolve_trace_config(trace_requests)
@@ -652,7 +645,6 @@ class ShardedDatacenterRun:
                 recorder_config=self._recorder_config,
                 profile=self._profile,
                 profiler=self._profiler,
-                bulk_datapath=self._bulk,
                 trace_sample_every=self._trace_sample_every,
                 energy_attribution=self._energy_attribution,
             )
@@ -697,7 +689,6 @@ class ShardedDatacenterRun:
                 record_indices=self._record_indices,
                 recorder_config=self._recorder_config,
                 profile=self._profile,
-                bulk_datapath=self._bulk,
                 trace_sample_every=self._trace_sample_every,
                 energy_attribution=self._energy_attribution,
             )

@@ -288,9 +288,7 @@ def datacenter_sharded(profiler: Optional[SimProfiler]) -> ScenarioStats:
     return _datacenter_stats(run, result)
 
 
-def _frontend_run(
-    profiler: Optional[SimProfiler], bulk: bool, **observers
-) -> ScenarioStats:
+def _frontend_run(profiler: Optional[SimProfiler], **observers) -> ScenarioStats:
     from repro.cluster.datacenter import DatacenterConfig
     from repro.cluster.frontend import FrontendConfig
     from repro.cluster.sharding import ShardedDatacenterRun
@@ -308,33 +306,23 @@ def _frontend_run(
             intra_burst_gap_ns=1_000, dispatch_latency_ns=1 * MS,
         ),
     )
-    run = ShardedDatacenterRun(
-        config, jobs=1, profile=profiler, bulk_datapath=bulk, **observers
-    )
+    run = ShardedDatacenterRun(config, jobs=1, profile=profiler, **observers)
     result = run.execute()
     assert result.record.responses_received > 0
     return _datacenter_stats(run, result)
 
 
 def frontend_bulk(profiler: Optional[SimProfiler]) -> ScenarioStats:
-    """Frontend tier spraying 4 servers, bursts vectorized through the
-    link/switch/NIC bulk datapath (the datacenter_1000 configuration)."""
-    return _frontend_run(profiler, bulk=True)
-
-
-def frontend_scalar(profiler: Optional[SimProfiler]) -> ScenarioStats:
-    """Same run with the scalar per-frame datapath — pins the bulk
-    speedup and guards scalar-path performance."""
-    return _frontend_run(profiler, bulk=False)
+    """Frontend tier spraying 4 servers, each window's bursts handed to
+    the link as one vectorized send (the datacenter_1000 configuration)."""
+    return _frontend_run(profiler)
 
 
 def frontend_observed(profiler: Optional[SimProfiler]) -> ScenarioStats:
-    """The bulk frontend run with every fleet observer on — request
+    """The frontend run with every fleet observer on — request
     tracing (1-in-64) and the window/imbalance profiler — pinning the
     cost of full observability against ``frontend_bulk``."""
-    return _frontend_run(
-        profiler, bulk=True, trace_requests=64, profile_fleet=True
-    )
+    return _frontend_run(profiler, trace_requests=64, profile_fleet=True)
 
 
 MICRO_SUITE = BenchSuite(
@@ -392,7 +380,7 @@ TELEMETRY_SUITE = BenchSuite(
 DATACENTER_SUITE = BenchSuite(
     name="datacenter",
     description="Sharded-fleet machinery: serial conservative-window "
-    "coordination, the frontend tier over the bulk vs scalar datapath, "
+    "coordination, the frontend tier, "
     "and the fully-observed run (request tracing + fleet profiler)",
     scenarios=(
         BenchScenario(
@@ -401,11 +389,7 @@ DATACENTER_SUITE = BenchSuite(
         ),
         BenchScenario(
             "frontend_bulk", frontend_bulk,
-            "frontend spray, vectorized datapath",
-        ),
-        BenchScenario(
-            "frontend_scalar", frontend_scalar,
-            "frontend spray, per-frame datapath",
+            "frontend spray, vectorized sends",
         ),
         BenchScenario(
             "frontend_observed", frontend_observed,

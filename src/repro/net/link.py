@@ -3,12 +3,16 @@
 Table 1: 10 Gb/s links with 1 µs latency.  Each direction serializes frames
 FIFO at the link bandwidth, then delivers after the propagation latency.
 Endpoints implement ``receive_frame(frame)`` (see :class:`NetDevice`).
+
+FIFO serialization is deterministic, so a frame's wire finish time is
+known the moment it is offered: each direction keeps only the finish time
+of its last frame, and every frame costs exactly one kernel event, its
+delivery.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
@@ -31,98 +35,47 @@ class _Direction:
         self._sim = sim
         self._bandwidth = bandwidth_bps
         self._latency = latency_ns
-        self._queue: Deque[Frame] = deque()
-        self._busy = False
         self._sink: Optional[NetDevice] = None
+        self._name = "unattached link"
+        #: Offer time of the last frame (offers must not go back in time).
+        self._last_offer_ns = 0
+        #: Wire finish time of the last frame offered.
+        self._tail_ns = 0
         self.frames_carried = 0
         self.bytes_carried = 0
-        # Vectorized-burst state: when the serialization finish time of the
-        # last analytically-sent frame, and the FIFO of frames awaiting the
-        # scalar fallback delivery events scheduled by send_vector().
-        self._vector_tail_ns = 0
-        self._vector_fifo: Deque[Frame] = deque()
 
-    def attach_sink(self, sink: NetDevice) -> None:
+    def attach(self, source: NetDevice, sink: NetDevice) -> None:
         self._sink = sink
+        self._name = f"link {source.name}->{sink.name}"
 
-    def send(self, frame: Frame) -> None:
-        if self._vector_tail_ns > self._sim.now:
-            # A vectorized burst's serialization extends past `now`; a
-            # scalar frame interleaved here could not honour FIFO order.
-            raise RuntimeError(
-                "scalar send while a vectorized burst is still serializing "
-                "on this link direction"
-            )
-        self._queue.append(frame)
-        if not self._busy:
-            self._serialize_next()
+    def offer(self, frame: Frame, t: int) -> None:
+        """Put ``frame`` on the wire at sim-time ``t`` and book its delivery.
 
-    def send_vector(self, times: Sequence[int], frames: Sequence[Frame]) -> None:
-        """Send ``frames[i]`` at sim-time ``times[i]`` analytically.
-
-        Serialization is the same FIFO math as the scalar path —
-        ``start_i = max(times[i], finish_{i-1})``, ``finish_i = start_i +
-        tx_delay_i`` — but computed in one pass with no intermediate
-        events: the only events created are the deliveries (and none at
-        all when the sink implements ``receive_burst``, which carries the
-        whole vector another hop).  Delivery timestamps are bit-identical
-        to the scalar path.  ``times`` must be non-decreasing and at or
-        after ``sim.now``; the direction must otherwise be idle (a single
-        transmitter — e.g. the frontend tier — is the intended user).
-        Wire counters are bumped up front rather than at each frame's
-        serialization instant; end-of-run totals are unchanged.
+        Serialization starts at ``max(t, finish of the previous frame)``.
+        Offers must come in time order and never in the past: the finish
+        time of every earlier frame is already committed.  Wire counters
+        are bumped here, at offer, not at the end of serialization.
         """
-        if len(times) != len(frames):
-            raise ValueError("times and frames must have equal length")
-        if not frames:
-            return
-        if self._busy or self._queue:
-            raise RuntimeError(
-                "send_vector on a link direction with scalar frames in flight"
+        now = self._sim.now
+        if t < self._last_offer_ns or t < now:
+            before = "now" if t < now else "the previous offer"
+            raise ValueError(
+                f"{self._name}: offer at t={t} ns is before {before} "
+                f"(now t={now} ns, previous offer t={self._last_offer_ns} ns)"
             )
-        assert self._sink is not None, "link endpoint not attached"
-        tail = self._vector_tail_ns
-        latency = self._latency
-        deliveries: List[int] = []
-        for t, frame in zip(times, frames):
-            start = t if t > tail else tail
-            tail = start + transmission_delay_ns(frame.wire_bytes, self._bandwidth)
-            self.frames_carried += 1
-            self.bytes_carried += frame.wire_bytes
-            deliveries.append(tail + latency)
-        self._vector_tail_ns = tail
-        receive_burst = getattr(self._sink, "receive_burst", None)
-        if receive_burst is not None:
-            receive_burst(frames, deliveries)
-        else:
-            self._vector_fifo.extend(frames)
-            self._sim.schedule_many(deliveries, self._deliver_next)
-
-    def _deliver_next(self) -> None:
-        self._sink.receive_frame(self._vector_fifo.popleft())
-
-    def _serialize_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        frame = self._queue.popleft()
-        delay = transmission_delay_ns(frame.wire_bytes, self._bandwidth)
-        self._sim.schedule(delay, self._serialized, frame)
-
-    def _serialized(self, frame: Frame) -> None:
+        self._last_offer_ns = t
+        wire_bytes = frame.wire_bytes
+        tail = self._tail_ns
+        if t > tail:
+            tail = t
+        tail += transmission_delay_ns(wire_bytes, self._bandwidth)
+        self._tail_ns = tail
         self.frames_carried += 1
-        self.bytes_carried += frame.wire_bytes
-        self._sim.schedule(self._latency, self._deliver, frame)
-        self._serialize_next()
+        self.bytes_carried += wire_bytes
+        self._sim.schedule_at(tail + self._latency, self._deliver, frame)
 
     def _deliver(self, frame: Frame) -> None:
-        assert self._sink is not None, "link endpoint not attached"
         self._sink.receive_frame(frame)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
 
 class Link:
@@ -146,35 +99,47 @@ class Link:
     def attach(self, a: NetDevice, b: NetDevice) -> None:
         """Connect endpoints ``a`` and ``b``."""
         self._a, self._b = a, b
-        self._a_to_b.attach_sink(b)
-        self._b_to_a.attach_sink(a)
+        self._a_to_b.attach(a, b)
+        self._b_to_a.attach(b, a)
 
-    def endpoint_port(self, device: NetDevice) -> "LinkPort":
-        """The transmit port ``device`` should use on this link."""
+    def endpoint_port(self, device: NetDevice, delay_ns: int = 0) -> "LinkPort":
+        """The transmit port ``device`` should use on this link.
+
+        ``delay_ns`` is a fixed egress delay added to every send through
+        the port (a switch's forwarding latency, for instance).
+        """
+        if delay_ns < 0:
+            raise ValueError("egress delay must be non-negative")
         if device is self._a:
-            return LinkPort(self._a_to_b, self._b)
+            return LinkPort(self._a_to_b, self._b, delay_ns)
         if device is self._b:
-            return LinkPort(self._b_to_a, self._a)
+            return LinkPort(self._b_to_a, self._a, delay_ns)
         raise ValueError(f"{device!r} is not attached to this link")
 
 
 class LinkPort:
     """A device's handle for transmitting onto one link direction."""
 
-    def __init__(self, direction: _Direction, peer: Optional[NetDevice]):
+    def __init__(
+        self, direction: _Direction, peer: Optional[NetDevice], delay_ns: int
+    ):
+        self._sim = direction._sim
         self._direction = direction
         self.peer = peer
+        self.delay_ns = delay_ns
 
     def send(self, frame: Frame) -> None:
-        self._direction.send(frame)
+        """Offer ``frame`` to the wire ``delay_ns`` after now."""
+        self._direction.offer(frame, self._sim.now + self.delay_ns)
 
     def send_vector(self, times: Sequence[int], frames: Sequence[Frame]) -> None:
-        """Vectorized multi-frame send — see :meth:`_Direction.send_vector`."""
-        self._direction.send_vector(times, frames)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._direction.queue_depth
+        """Offer ``frames[i]`` at sim-time ``times[i]`` (non-decreasing, at
+        or after now).  Same result as sending each frame at its time."""
+        if len(times) != len(frames):
+            raise ValueError("times and frames must have equal length")
+        offer = self._direction.offer
+        for t, frame in zip(times, frames):
+            offer(frame, t)
 
     @property
     def bytes_carried(self) -> int:

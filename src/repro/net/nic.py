@@ -69,7 +69,6 @@ class NIC:
         self.moderator = InterruptModerator(sim, moderation, self._post_interrupt)
         self._port: Optional[LinkPort] = None
         self._rx_ring: Deque[Frame] = deque()
-        self._rx_burst_fifo: Deque[Frame] = deque()
 
         # Hardware observation points (NCAP hooks).
         self.rx_hw_taps: List[Callable[[Frame], None]] = []
@@ -159,25 +158,6 @@ class NIC:
         for tap in self.rx_hw_taps:
             tap(frame)
         self._sim.schedule(self.dma_latency_ns, self._dma_complete, frame)
-
-    def receive_burst(self, frames: List[Frame], times: List[int]) -> None:
-        """Vectorized wire arrival: ``frames[i]`` lands at ``times[i]``.
-
-        The terminal hop of the bulk datapath (client port → link →
-        switch → link → NIC): the whole burst is scheduled with one
-        ``schedule_many`` call, and each arrival event replays the exact
-        scalar ``receive_frame`` body — counters, probes, hardware taps
-        and DMA scheduling all happen at the same per-frame timestamps as
-        the scalar path, so downstream behaviour is unchanged.  ``times``
-        must be non-decreasing and strictly after ``sim.now``.
-        """
-        if not frames:
-            return
-        self._rx_burst_fifo.extend(frames)
-        self._sim.schedule_many(times, self._rx_burst_arrival)
-
-    def _rx_burst_arrival(self) -> None:
-        self.receive_frame(self._rx_burst_fifo.popleft())
 
     def _dma_complete(self, frame: Frame) -> None:
         if len(self._rx_ring) >= self.rx_ring_size:

@@ -1,15 +1,15 @@
 """A store-and-forward Ethernet switch.
 
 Routes frames between attached links by destination name.  Forwarding adds
-a fixed per-frame latency; output contention is handled by the outgoing
-link's serialization FIFO.  Frames for unknown destinations are dropped
-(and counted), like a real switch with no matching CAM entry and flooding
-disabled.
+a fixed per-frame latency, modelled as the egress delay of each output
+port; output contention is handled by the outgoing link's serialization
+FIFO.  Frames for unknown destinations are dropped (and counted), like a
+real switch with no matching CAM entry and flooding disabled.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 from repro.net.link import Link, LinkPort
 from repro.net.packet import Frame
@@ -33,42 +33,20 @@ class Switch:
 
         Call after ``link.attach(switch, peer_device)``.
         """
-        self._ports[peer_name] = link.endpoint_port(self)
+        self._ports[peer_name] = link.endpoint_port(
+            self, delay_ns=self.forward_latency_ns
+        )
 
     def receive_frame(self, frame: Frame) -> None:
         port = self._ports.get(frame.dst)
         if port is None:
             self.frames_dropped += 1
             return
-        self._sim.schedule(self.forward_latency_ns, self._forward, frame, port)
-
-    def _forward(self, frame: Frame, port: LinkPort) -> None:
+        # Each output direction has this switch as its only sender, and
+        # arrivals come in event-time order, so offering at arrival +
+        # forward latency is exactly a forward event followed by a send.
         self.frames_forwarded += 1
         port.send(frame)
-
-    def receive_burst(self, frames: Sequence[Frame], times: Sequence[int]) -> None:
-        """Vectorized arrival of ``frames[i]`` at ``times[i]`` (non-decreasing).
-
-        The analytic counterpart of per-frame ``receive_frame`` +
-        ``_forward`` events: forwarding latency is added to the arrival
-        vector and each destination's sub-vector continues down its output
-        link's ``send_vector`` in arrival order.  Forward/drop counters are
-        bumped up front (same end-of-run totals).
-        """
-        groups: Dict[str, Tuple[LinkPort, List[Frame], List[int]]] = {}
-        for frame, t in zip(frames, times):
-            group = groups.get(frame.dst)
-            if group is None:
-                port = self._ports.get(frame.dst)
-                if port is None:
-                    self.frames_dropped += 1
-                    continue
-                group = groups[frame.dst] = (port, [], [])
-            group[1].append(frame)
-            group[2].append(t + self.forward_latency_ns)
-        for port, group_frames, group_times in groups.values():
-            self.frames_forwarded += len(group_frames)
-            port.send_vector(group_times, group_frames)
 
     @property
     def known_destinations(self):

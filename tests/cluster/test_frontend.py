@@ -173,47 +173,57 @@ class TestFrontendPlanner:
 
 
 class TestFrontendPort:
-    def test_scalar_and_bulk_inject_book_identical_sends(self):
-        from repro.net.link import Link
-        from repro.net.packet import make_http_request, make_response
+    def test_inject_books_sends_and_measures_rtts(self):
+        from repro.net import Frame, Link, Switch
+        from repro.net.packet import make_response
         from repro.sim.kernel import Simulator
         from repro.sim.units import US, gbps
 
-        def run(bulk):
-            sim = Simulator()
-            port = FrontendPort(sim, "frontend0", bulk=bulk)
+        sim = Simulator()
+        switch = Switch(sim, forward_latency_ns=1 * US)
+        port = FrontendPort(sim, "frontend0")
 
-            class Echo:  # immediately bounce a response back
-                name = "server0"
+        class Echo:  # bounce a response back 1 us after each request
+            name = "server0"
 
-                def __init__(self):
-                    self.link_port = None
+            def __init__(self):
+                self.link_port = None
+                self.arrivals = []
 
-                def receive_frame(self, frame):
-                    response = make_response(
-                        "server0", "frontend0", 200, req_id=frame.req_id
-                    )
-                    sim.schedule(1000, self.link_port.send, response)
+            def receive_frame(self, frame):
+                self.arrivals.append(sim.now)
+                response = make_response(
+                    "server0", "frontend0", 1250 - 66, req_id=frame.req_id
+                )
+                sim.schedule(1 * US, self.link_port.send, response)
 
-            echo = Echo()
+        echo = Echo()
+        for device in (port, echo):
             link = Link(sim, gbps(10), 1 * US)
-            link.attach(port, echo)
-            port.attach_port(link.endpoint_port(port))
-            echo.link_port = link.endpoint_port(echo)
-            frames = [
-                make_http_request("frontend0", "server0", req_id=i)
-                for i in range(1, 4)
-            ]
-            port.inject([(10_000 * i, f) for i, f in enumerate(frames, 1)])
-            sim.run()
-            return port
-
-        bulk, scalar = run(True), run(False)
-        assert bulk.requests_sent == scalar.requests_sent == 3
-        assert bulk.responses_received == scalar.responses_received == 3
-        assert bulk.rtts == scalar.rtts
-        assert bulk.outstanding == scalar.outstanding == 0
-        assert bulk.sent_in_window(0, 100_000) == 3
-        assert bulk.rtts_in_window(15_000, 25_000) == [
-            rtt for send, rtt in bulk.rtts if send == 20_000
+            link.attach(device, switch)
+            switch.attach_link(link, device.name)
+            device_port = link.endpoint_port(device)
+            if device is port:
+                port.attach_port(device_port)
+            else:
+                echo.link_port = device_port
+        frames = [
+            Frame("frontend0", "server0", 1250 - 66, kind="request", req_id=i)
+            for i in (1, 2, 3)
         ]
+        port.inject(list(zip([10 * US, 10 * US, 40 * US], frames)))
+        # Sends are booked when injected, at their planned times.
+        assert port.sent == {1: 10 * US, 2: 10 * US, 3: 40 * US}
+        assert port.requests_sent == 3
+        sim.run()
+
+        # Every 1250-wire-byte frame is 1 us on a 10 Gb/s wire.  Request 1:
+        # wire 10-11, propagation to 12, forward to 13, wire 13-14,
+        # propagation to 15.  Request 2 queues behind it on both wires.
+        assert echo.arrivals == [15 * US, 16 * US, 45 * US]
+        # Responses leave 1 us after arrival and take the same 5 us back.
+        assert port.rtts == [(10 * US, 11 * US), (10 * US, 12 * US), (40 * US, 11 * US)]
+        assert port.responses_received == 3
+        assert port.outstanding == 0
+        assert port.sent_in_window(0, 100 * US) == 3
+        assert port.rtts_in_window(35 * US, 45 * US) == [11 * US]

@@ -146,15 +146,15 @@ class TestShardParityFrontendMode:
         config = frontend_config()
         serial = run_datacenter(replace(config, n_shards=1), jobs=1)
         sharded = run_datacenter(replace(config, n_shards=4), jobs=1)
+        two_serial = run_datacenter(replace(config, n_shards=2), jobs=1)
         pooled = run_datacenter(replace(config, n_shards=2), jobs=2)
-        assert record_sha(serial) == record_sha(sharded) == record_sha(pooled)
+        assert (
+            record_sha(serial)
+            == record_sha(sharded)
+            == record_sha(two_serial)
+            == record_sha(pooled)
+        )
         assert serial.record.responses_received > 0
-
-    def test_bulk_and_scalar_datapath_agree(self):
-        config = frontend_config(n_shards=2)
-        bulk = run_datacenter(config, jobs=1, bulk_datapath=True)
-        scalar = run_datacenter(config, jobs=1, bulk_datapath=False)
-        assert record_sha(bulk) == record_sha(scalar)
 
 
 class TestRecordedShardParity:

@@ -1,9 +1,9 @@
-"""Tests for the vectorized (bulk) rx datapath: ``LinkPort.send_vector``
-through ``Switch.receive_burst`` into ``NIC.receive_burst``.
+"""Tests for vectorized sends: ``LinkPort.send_vector`` hands a whole
+burst to the link in one call, through a switch and into a NIC.
 
-The contract under test: a whole burst handed to the datapath in one
-Python-level call is delivered with exactly the timestamps and ordering
-of the equivalent per-frame scalar sends.
+The contract under test: a burst offered in one Python-level call is
+delivered with exactly the timestamps and ordering of the equivalent
+per-frame sends.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.sim.units import US, gbps
 
 
 class Sink:
-    """Scalar-only endpoint: records (time, frame) per delivery."""
+    """Endpoint that records (time, frame) per delivery."""
 
     def __init__(self, name, sim):
         self.name = name
@@ -26,21 +26,10 @@ class Sink:
         self.received.append((self.sim.now, frame))
 
 
-class BurstSink(Sink):
-    """Endpoint advertising receive_burst: records the vector calls too."""
-
-    def __init__(self, name, sim):
-        super().__init__(name, sim)
-        self.bursts = []
-
-    def receive_burst(self, frames, times):
-        self.bursts.append((list(times), list(frames)))
-
-
-def make_link(sink_cls=Sink):
+def make_link():
     sim = Simulator()
     link = Link(sim, bandwidth_bps=gbps(10), latency_ns=1 * US)
-    a, b = Sink("a", sim), sink_cls("b", sim)
+    a, b = Sink("a", sim), Sink("b", sim)
     link.attach(a, b)
     return sim, link, a, b
 
@@ -51,7 +40,7 @@ def frames_named(n, src="a", dst="b"):
 
 class TestSendVector:
     def test_matches_scalar_delivery_times(self):
-        # Scalar reference: one event per send.
+        # Scalar reference: one send event per frame.
         sim_s, link_s, a_s, b_s = make_link()
         port_s = link_s.endpoint_port(a_s)
         times = [0, 100, 5_000]
@@ -77,15 +66,6 @@ class TestSendVector:
             f.frame_id for f in frames
         ]
 
-    def test_burst_capable_sink_gets_one_call(self):
-        sim, link, a, b = make_link(sink_cls=BurstSink)
-        link.endpoint_port(a).send_vector([0, 0], frames_named(2))
-        sim.run()
-        assert len(b.bursts) == 1
-        times, frames = b.bursts[0]
-        assert times == [2 * US, 3 * US]
-        assert b.received == []  # vector handoff, no scalar calls
-
     def test_counters_match_scalar_path(self):
         sim, link, a, b = make_link()
         port = link.endpoint_port(a)
@@ -94,22 +74,22 @@ class TestSendVector:
         assert port.bytes_carried == 2 * 1250
 
     def test_scalar_send_during_vector_flight_raises(self):
+        # The burst has booked an offer at 2 us; a scalar send at 1 us
+        # would have to overtake it on the wire.
         sim, link, a, b = make_link()
         port = link.endpoint_port(a)
-        port.send_vector([0, 0], frames_named(2))
-
-        def late_scalar():
-            with pytest.raises(RuntimeError):
-                port.send(Frame("a", "b", payload_bytes=100))
-
-        sim.schedule_at(1 * US, late_scalar)  # wire still busy with burst
-        sim.run()
+        port.send_vector([0, 2 * US], frames_named(2))
+        sim.schedule_at(1 * US, port.send, Frame("a", "b", payload_bytes=100))
+        with pytest.raises(ValueError, match="previous offer"):
+            sim.run()
 
     def test_vector_send_while_scalar_busy_raises(self):
+        # A port with a 1 us egress delay offers its scalar send at 1 us;
+        # a vector offer at 0 would go before it.
         sim, link, a, b = make_link()
-        port = link.endpoint_port(a)
+        port = link.endpoint_port(a, delay_ns=1 * US)
         port.send(Frame("a", "b", payload_bytes=1250 - 66))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="previous offer"):
             port.send_vector([0], frames_named(1))
 
     def test_length_mismatch_raises(self):
@@ -123,31 +103,36 @@ class TestSwitchBurst:
         sim = Simulator()
         switch = Switch(sim)
         sinks = {}
-        for name in ("x", "y"):
+        for name in ("c", "x", "y"):
             sink = Sink(name, sim)
             link = Link(sim, bandwidth_bps=gbps(10), latency_ns=1 * US)
             link.attach(sink, switch)
             switch.attach_link(link, name)
-            sinks[name] = sink
-        return sim, switch, sinks
+            sinks[name] = (sink, link)
+        client, link = sinks.pop("c")
+        return sim, switch, link.endpoint_port(client), {
+            name: sink for name, (sink, _) in sinks.items()
+        }
 
     def test_burst_demuxed_per_destination(self):
-        sim, switch, sinks = self.build()
+        sim, switch, port, sinks = self.build()
         frames = [
-            Frame("c", "x", payload_bytes=100),
-            Frame("c", "y", payload_bytes=100),
-            Frame("c", "x", payload_bytes=100),
+            Frame("c", "x", payload_bytes=1250 - 66),
+            Frame("c", "y", payload_bytes=1250 - 66),
+            Frame("c", "x", payload_bytes=1250 - 66),
         ]
-        sim.schedule_at(0, switch.receive_burst, frames, [0, 0, 10])
+        port.send_vector([0, 0, 10], frames)
         sim.run()
-        assert len(sinks["x"].received) == 2
-        assert len(sinks["y"].received) == 1
+        # The frames queue on the client link and finish at 1, 2, 3 us;
+        # then 1 us propagation + 1 us forwarding + 1 us on the output
+        # wire + 1 us propagation each.
+        assert [t for t, _ in sinks["x"].received] == [5 * US, 7 * US]
+        assert [t for t, _ in sinks["y"].received] == [6 * US]
         assert switch.frames_forwarded == 3
 
     def test_unknown_destination_counted_dropped(self):
-        sim, switch, sinks = self.build()
-        frames = [Frame("c", "nowhere", payload_bytes=100)]
-        sim.schedule_at(0, switch.receive_burst, frames, [0])
+        sim, switch, port, sinks = self.build()
+        port.send_vector([0], [Frame("c", "nowhere", payload_bytes=100)])
         sim.run()
         assert switch.frames_dropped == 1
         assert switch.frames_forwarded == 0
@@ -166,20 +151,25 @@ class TestNICBurst:
         driver = NICDriver(sim, nic, irq, NetStackCosts())
         delivered = []
         driver.packet_sink = lambda pkt: delivered.append((sim.now, pkt.req_id))
+        client = Sink("c", sim)
+        link = Link(sim, bandwidth_bps=gbps(10), latency_ns=1 * US)
+        link.attach(client, nic)
+        port = link.endpoint_port(client)
         frames = [
             make_http_request("c", "s", req_id=i) for i in range(20)
         ]
         times = [1000 + 500 * i for i in range(20)]
         if bulk:
-            sim.schedule_at(0, nic.receive_burst, frames, times)
+            port.send_vector(times, frames)
         else:
             for t, frame in zip(times, frames):
-                sim.schedule_at(t, nic.receive_frame, frame)
+                sim.schedule_at(t, port.send, frame)
         sim.run()
         return delivered, nic
 
     def test_burst_parity_with_scalar_rx(self):
         scalar, nic_s = self.run_nic(bulk=False)
         bulk, nic_b = self.run_nic(bulk=True)
+        assert len(bulk) == 20
         assert bulk == scalar
         assert nic_b.rx_frames == nic_s.rx_frames
