@@ -27,8 +27,6 @@ def rpc_frame(kind: str, i: int) -> Frame:
 class SinkPort:
     """A stand-in wire: accepts transmitted responses and drops them."""
 
-    queue_depth = 0
-
     def send(self, frame):
         pass
 

@@ -19,8 +19,6 @@ from repro.sim.units import MS, US
 class SinkPort:
     """A stand-in wire: accepts transmitted responses and drops them."""
 
-    queue_depth = 0
-
     def send(self, frame):
         pass
 

@@ -72,7 +72,7 @@ class ReqMonitor:
 
     def matches(self, payload_prefix: bytes) -> bool:
         """Would a packet with this payload prefix count as a request?"""
-        return any(payload_prefix.startswith(t) for t in self._templates)
+        return payload_prefix.startswith(self._templates)
 
     def inspect(self, frame: Frame) -> bool:
         """Inspect one received frame (hardware tap, wire-rate).

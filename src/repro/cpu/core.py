@@ -121,6 +121,8 @@ class Core:
         self._current: Optional[Job] = None
         self._stack: List[Job] = []
         self._pending: Deque[Job] = deque()
+        #: The core's completion event: armed while RUN, otherwise fired
+        #: or cancelled, and re-armed by the next ``_start``.
         self._completion: Optional[Event] = None
         self._stall_end: Optional[Event] = None
         self._stall_started: int = 0
@@ -252,7 +254,11 @@ class Core:
             PowerMode.RUN, self._package.voltage, self._package.frequency_hz
         )
         duration = cycles_to_ns(job.remaining, self._package.frequency_hz)
-        self._completion = self._sim.schedule(duration, self._complete)
+        completion = self._completion
+        if completion is None:
+            self._completion = self._sim.schedule(duration, self._complete)
+        else:
+            self._completion = self._sim.reschedule(completion, duration)
 
     def _pause_current(self, push: bool) -> None:
         job = self._current
@@ -270,7 +276,6 @@ class Core:
                 account.cycles += before - job.remaining
         if self._completion is not None:
             self._completion.cancel()
-            self._completion = None
         self._current = None
         if push:
             self._stack.append(job)
@@ -285,7 +290,6 @@ class Core:
             account.cycles += job.remaining
         job.remaining = 0.0
         self._current = None
-        self._completion = None
         self._maybe_run_next()
         if job.on_complete is not None:
             job.on_complete()

@@ -106,7 +106,8 @@ class Link:
         """The transmit port ``device`` should use on this link.
 
         ``delay_ns`` is a fixed egress delay added to every send through
-        the port (a switch's forwarding latency, for instance).
+        the port: a switch's forwarding latency, or a NIC's transmit DMA
+        latency (the NIC sets it when it takes the port).
         """
         if delay_ns < 0:
             raise ValueError("egress delay must be non-negative")

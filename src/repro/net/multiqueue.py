@@ -215,6 +215,9 @@ class MultiQueueNIC:
         return int(self._tx_bytes.value)
 
     def attach_port(self, port: LinkPort) -> None:
+        """Take ``port`` as the shared transmit port; the constant transmit
+        DMA latency becomes its egress delay (see :meth:`NIC.attach_port`)."""
+        port.delay_ns = self.tx_dma_latency_ns
         self._port = port
 
     def queue_for(self, frame: Frame) -> NICQueue:
@@ -244,9 +247,6 @@ class MultiQueueNIC:
             )
         for tap in self.tx_hw_taps:
             tap(frame)
-        self.sim.schedule(self.tx_dma_latency_ns, self._tx_to_wire, frame)
-
-    def _tx_to_wire(self, frame: Frame) -> None:
         assert self._port is not None, "NIC has no attached link port"
         self._port.send(frame)
 

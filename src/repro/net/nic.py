@@ -20,7 +20,8 @@ Transmit-complete interrupts are coalesced into the driver's per-segment
 kernel cost rather than modelled individually (their handler is trivial
 and would only add events); transmitted frames/bytes are still observed by
 the hardware tx taps at transmit time, which is what NCAP's TxBytesCounter
-needs.
+needs.  The constant transmit DMA latency is the egress delay of the
+NIC's link port, so a transmitted frame costs no NIC event.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ class NIC:
     # -- wiring ----------------------------------------------------------
 
     def attach_port(self, port: LinkPort) -> None:
+        """Take ``port`` for transmit.  Only this NIC sends on it, so the
+        constant transmit DMA latency becomes the port's egress delay."""
+        port.delay_ns = self.tx_dma_latency_ns
         self._port = port
 
     # -- receive path -------------------------------------------------------
@@ -227,7 +231,8 @@ class NIC:
     # -- transmit path --------------------------------------------------------------
 
     def transmit(self, frame: Frame) -> None:
-        """Queue ``frame`` for transmission (descriptor fetch + DMA, then wire)."""
+        """Queue ``frame`` for transmission (descriptor fetch + DMA, then
+        wire): the port offers it ``tx_dma_latency_ns`` from now."""
         self._tx_frames.inc()
         self._tx_bytes.inc(frame.wire_bytes)
         if self._tx_probe.enabled:
@@ -236,15 +241,15 @@ class NIC:
             )
         for tap in self.tx_hw_taps:
             tap(frame)
-        self._sim.schedule(self.tx_dma_latency_ns, self._tx_to_wire, frame)
-
-    def _tx_to_wire(self, frame: Frame) -> None:
         assert self._port is not None, "NIC has no attached link port"
         self._port.send(frame)
         if self.tx_complete_interrupts:
-            self.tx_completions_pending += 1
-            self.icr.set(ICR.IT_TX)
-            self.moderator.notify_event()
+            self._sim.schedule(self.tx_dma_latency_ns, self._tx_complete)
+
+    def _tx_complete(self) -> None:
+        self.tx_completions_pending += 1
+        self.icr.set(ICR.IT_TX)
+        self.moderator.notify_event()
 
     def take_tx_completions(self) -> int:
         """Driver-side reclamation: how many tx descriptors completed."""

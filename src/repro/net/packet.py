@@ -52,18 +52,18 @@ class Frame:
     req_id: Optional[int] = None
     created_ns: int = 0
     frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    #: Sizes derived from ``payload_bytes`` once, at construction: links
+    #: and NIC/NCAP counters read them on every hop.
+    n_segments: int = field(init=False, repr=False, compare=False)
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
+        payload = self.payload_bytes
+        if payload < 0:
             raise ValueError("payload_bytes must be non-negative")
-
-    @property
-    def n_segments(self) -> int:
-        return segments_for(self.payload_bytes)
-
-    @property
-    def wire_bytes(self) -> int:
-        return wire_bytes_for(self.payload_bytes)
+        n = segments_for(payload)
+        self.n_segments = n
+        self.wire_bytes = payload + n * HEADER_BYTES
 
     @property
     def is_single_packet(self) -> bool:

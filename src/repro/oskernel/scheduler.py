@@ -11,6 +11,11 @@ Dispatch preference order for a newly enqueued job:
 2. a waking core with an empty backlog — the job rides the in-flight wake;
 3. a sleeping core — woken, paying its exit latency;
 4. otherwise the global FIFO queue, drained as cores become idle.
+
+A job is queued only when no core could take it, and a core that runs
+out of work pulls from the queue before it can go idle (``take_next``).
+So while the queue is non-empty no core is idle, sleeping, or waking with
+an empty backlog, and a new job joins the queue without a core scan.
 """
 
 from __future__ import annotations
@@ -55,12 +60,15 @@ class Scheduler:
             # through to normal selection rather than starving the job
             # behind it while other cores sleep.
 
-        core = self._pick_core()
-        if core is not None:
-            core.dispatch(job)
-        else:
-            self._queue.append(job)
-            self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+        queue = self._queue
+        if not queue:
+            core = self._pick_core()
+            if core is not None:
+                core.dispatch(job)
+                return
+        queue.append(job)
+        if len(queue) > self.max_queue_depth:
+            self.max_queue_depth = len(queue)
 
     def _pick_core(self) -> Optional[Core]:
         waking = None
@@ -78,16 +86,14 @@ class Scheduler:
     # -- core callbacks -----------------------------------------------------
 
     def _on_core_idle(self, core: Core) -> None:
-        if self._queue:
-            core.dispatch(self._queue.popleft())
-            return
+        # Runs only after ``_take_next`` found the queue empty.
         if self.idle_hook is not None:
             self.idle_hook(core)
 
     def _take_next(self) -> Optional[Job]:
         """Completion fast path: pop the next queued job for the asking
         core, or None to let it go idle (then ``_on_core_idle`` runs the
-        cpuidle hook as before)."""
+        cpuidle hook)."""
         if self._queue:
             return self._queue.popleft()
         return None

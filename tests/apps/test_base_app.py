@@ -35,8 +35,6 @@ class FixedApp(ServerApp):
 
 
 class SinkPort:
-    queue_depth = 0
-
     def __init__(self):
         self.sent = []
 

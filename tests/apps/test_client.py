@@ -15,8 +15,6 @@ from repro.sim.units import MS, US
 
 
 class CapturePort:
-    queue_depth = 0
-
     def __init__(self):
         self.sent = []
 

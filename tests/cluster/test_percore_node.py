@@ -12,8 +12,6 @@ from repro.sim.units import MS
 
 
 class SinkPort:
-    queue_depth = 0
-
     def send(self, frame):
         pass
 

@@ -9,8 +9,6 @@ from repro.sim.units import MS, US
 
 
 class SinkPort:
-    queue_depth = 0
-
     def send(self, frame):
         pass
 

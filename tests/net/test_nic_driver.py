@@ -1,10 +1,11 @@
 """Tests for the NIC model and its driver (rx path of Figure 3)."""
 
 from repro.cpu import CoreState, ProcessorConfig
-from repro.net import ICR, Frame, ModerationConfig, NIC, NICDriver
+from repro.net import ICR, Frame, Link, ModerationConfig, NIC, NICDriver
+from repro.net.multiqueue import MultiQueueNIC
 from repro.oskernel import IRQController, NetStackCosts
 from repro.sim import Simulator, TraceRecorder
-from repro.sim.units import US
+from repro.sim.units import US, gbps
 
 
 class WireStub:
@@ -17,10 +18,6 @@ class WireStub:
 
     def send(self, frame):
         self.sent.append(frame)
-
-    @property
-    def queue_depth(self):
-        return 0
 
 
 def make_node(moderation=None, dma_latency=10 * US, trace=None):
@@ -138,13 +135,60 @@ class TestRxPath:
         assert core.state is CoreState.IDLE
 
 
+class Receiver:
+    """The far end of a real link, recording arrival times."""
+
+    name = "client"
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.got = []
+
+    def receive_frame(self, frame):
+        self.got.append((self.sim.now, frame.frame_id))
+
+
+def wired_nic(nic_cls, **nic_kwargs):
+    """A NIC of ``nic_cls`` on a 1 Gb/s, 1 us link to a :class:`Receiver`."""
+    sim = Simulator()
+    nic = nic_cls(sim, name="server", **nic_kwargs)
+    receiver = Receiver(sim)
+    link = Link(sim, bandwidth_bps=gbps(1), latency_ns=1 * US)
+    link.attach(nic, receiver)
+    nic.attach_port(link.endpoint_port(nic))
+    return sim, nic, receiver
+
+
+def wire_frame():
+    # 1250 wire bytes: 10 us of serialization at 1 Gb/s.
+    return Frame("server", "client", payload_bytes=1250 - 66, kind="response")
+
+
 class TestTxPath:
     def test_transmit_reaches_wire_after_dma(self):
-        sim, package, nic, driver, wire = make_node()
-        frame = Frame("server", "client", payload_bytes=8000, kind="response")
-        driver.transmit(frame)
-        sim.run()
-        assert wire.sent == [frame]
+        # Transmit at 3 us: 5 us DMA (the default), 10 us on the wire,
+        # 1 us propagation.
+        for nic_cls in (NIC, MultiQueueNIC):
+            sim, nic, receiver = wired_nic(nic_cls)
+            assert nic.tx_dma_latency_ns == 5 * US
+            frame = wire_frame()
+            sim.schedule_at(3 * US, nic.transmit, frame)
+            sim.run()
+            assert receiver.got == [(19 * US, frame.frame_id)], nic_cls
+
+    def test_back_to_back_transmits_queue_on_the_wire(self):
+        # Both leave the DMA engine at 8 us; the second waits for the
+        # first's 10 us of serialization.
+        for nic_cls in (NIC, MultiQueueNIC):
+            sim, nic, receiver = wired_nic(nic_cls)
+            first, second = wire_frame(), wire_frame()
+            sim.schedule_at(3 * US, nic.transmit, first)
+            sim.schedule_at(3 * US, nic.transmit, second)
+            sim.run()
+            assert receiver.got == [
+                (19 * US, first.frame_id),
+                (29 * US, second.frame_id),
+            ], nic_cls
 
     def test_tx_taps_and_counters(self):
         sim, package, nic, driver, wire = make_node()

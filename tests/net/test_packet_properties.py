@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import HEADER_BYTES, MSS, MTU, segments_for, wire_bytes_for
+from repro.net import HEADER_BYTES, MSS, MTU, Frame, segments_for, wire_bytes_for
 
 payloads = st.integers(min_value=0, max_value=10_000_000)
 
@@ -22,6 +22,16 @@ def test_segments_cover_payload_exactly(payload):
 @settings(max_examples=200, deadline=None)
 def test_wire_bytes_accounts_headers_per_segment(payload):
     assert wire_bytes_for(payload) == payload + segments_for(payload) * HEADER_BYTES
+    # A frame carries the same sizes as data, computed at construction,
+    # and they stay out of its repr.
+    frame = Frame("a", "b", payload_bytes=payload)
+    assert frame.wire_bytes == wire_bytes_for(payload)
+    assert frame.n_segments == segments_for(payload)
+    assert repr(frame) == (
+        f"Frame(src='a', dst='b', payload_bytes={payload}, kind='data', "
+        f"payload_prefix=b'', req_id=None, created_ns=0, "
+        f"frame_id={frame.frame_id})"
+    )
 
 
 @given(a=payloads, b=payloads)

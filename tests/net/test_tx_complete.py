@@ -4,12 +4,12 @@ from repro.cpu import ProcessorConfig
 from repro.net import ICR, Frame, NIC, NICDriver
 from repro.oskernel import IRQController, NetStackCosts
 from repro.sim import Simulator
-from repro.sim.units import MS
+from repro.sim.units import MS, US
+from tests.net.test_nic_driver import wire_frame, wired_nic
 
 
 class WireStub:
     name = "wire"
-    queue_depth = 0
 
     def __init__(self):
         self.sent = []
@@ -118,3 +118,22 @@ class TestTxCompletionCoalescing:
         sim.run()
         assert driver.tx_reclaimed == 4
         assert driver.hardirqs == 4
+
+
+class TestTxCompletionTiming:
+    def test_it_tx_set_when_dma_completes(self):
+        # Over a real link, the completion lands when the DMA engine hands
+        # the frame to the wire, not when the frame arrives.
+        sim, nic, receiver = wired_nic(NIC, tx_complete_interrupts=True)
+        t = 3 * US
+        frame = wire_frame()
+        sim.schedule_at(t, nic.transmit, frame)
+        sim.run(until=t + nic.tx_dma_latency_ns - 1)
+        assert not nic.icr.peek() & ICR.IT_TX
+        assert nic.tx_completions_pending == 0
+        sim.run(until=t + nic.tx_dma_latency_ns)
+        assert nic.icr.peek() & ICR.IT_TX
+        assert nic.tx_completions_pending == 1
+        sim.run()
+        # 10 us of serialization, 1 us propagation.
+        assert receiver.got == [(t + nic.tx_dma_latency_ns + 11 * US, frame.frame_id)]

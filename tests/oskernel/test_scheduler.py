@@ -1,5 +1,8 @@
 """Tests for the run queue / scheduler."""
 
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
+
 from repro.cpu import CoreState, Job, ProcessorConfig
 from repro.oskernel import Scheduler
 from repro.sim import Simulator
@@ -164,3 +167,121 @@ class TestTakeNext:
         sched.enqueue(Job(work_us(10)))
         sim.run()
         assert idled == [0]
+
+
+class ScanningScheduler(Scheduler):
+    """The dispatch rule without the shortcut: every enqueue scans the
+    cores, and a core that goes idle first looks at the queue."""
+
+    def enqueue(self, job, core_hint=None):
+        self.jobs_enqueued += 1
+        if core_hint is not None:
+            core = self.cores[core_hint]
+            if core.state in (
+                CoreState.IDLE, CoreState.SLEEP, CoreState.WAKING, CoreState.STALL,
+            ):
+                core.dispatch(job)
+                return
+        core = self._pick_core()
+        if core is not None:
+            core.dispatch(job)
+        else:
+            self._queue.append(job)
+
+    def _on_core_idle(self, core):
+        if self._queue:
+            core.dispatch(self._queue.popleft())
+            return
+        super()._on_core_idle(core)
+
+
+class CheckedScheduler(Scheduler):
+    """The production scheduler, asserting the invariant its shortcut
+    relies on at every enqueue that finds a non-empty queue."""
+
+    shortcut_hits = 0
+
+    def enqueue(self, job, core_hint=None):
+        if self._queue:
+            assert self._pick_core() is None
+            self.shortcut_hits += 1
+        super().enqueue(job, core_hint)
+
+
+def scheduler_rig(cls, n_cores):
+    sim = Simulator()
+    package = ProcessorConfig(n_cores=n_cores).build_package(sim)
+    done = []
+    return sim, package, cls(sim, package), done
+
+
+def apply_step(rig, op, a, b):
+    sim, package, sched, done = rig
+    cores = package.cores
+    core = cores[a % len(cores)]
+    cstates = package.cstates
+    if op in ("enqueue", "enqueue_hint"):
+        job_id = sched.jobs_enqueued
+        job = Job(b * 1550, on_complete=lambda: done.append((job_id, sim.now)))
+        sched.enqueue(job, core_hint=core.core_id if op == "enqueue_hint" else None)
+    elif op == "sleep":
+        if core.state is CoreState.IDLE:
+            core.enter_sleep(cstates[b % len(cstates)])
+    elif op == "promote":
+        if core.state is CoreState.SLEEP:
+            core.promote_sleep(cstates[b % len(cstates)])
+    elif op == "wake_all":
+        sched.wake_all()
+    elif op == "pstate":
+        package.set_pstate(b)
+
+
+scheduler_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),   # gap, in 500 ns units
+        st.sampled_from(
+            ["enqueue", "enqueue", "enqueue_hint", "sleep", "promote",
+             "wake_all", "pstate"]
+        ),
+        st.integers(min_value=0, max_value=3),    # core pick / hint
+        st.integers(min_value=0, max_value=14),   # job size (0.5 us) or state
+    ),
+    max_size=60,
+)
+
+
+@given(n_cores=st.integers(min_value=1, max_value=4), step_list=scheduler_steps)
+@settings(max_examples=300, deadline=None)
+def test_non_empty_queue_means_no_core_can_take_the_job(n_cores, step_list):
+    rigs = (
+        scheduler_rig(CheckedScheduler, n_cores),
+        scheduler_rig(ScanningScheduler, n_cores),
+    )
+    t = 0
+    for gap, op, a, b in step_list:
+        t += gap * 500
+        for rig in rigs:
+            rig[0].run(until=t)
+            apply_step(rig, op, a, b)
+        sched = rigs[0][2]
+        if sched.queue_depth:
+            assert sched._pick_core() is None
+        assert sched.queue_depth == rigs[1][2].queue_depth, (t, op)
+    for rig in rigs:
+        rig[0].run()
+    target(float(rigs[0][2].shortcut_hits))
+    assert rigs[0][3] == rigs[1][3]
+
+
+def test_enqueue_behind_a_queued_job_skips_the_core_scan():
+    sim, package, sched = make(n_cores=2)
+    scans = []
+    pick_core = sched._pick_core
+    sched._pick_core = lambda: scans.append(sim.now) or pick_core()
+    for _ in range(5):
+        sched.enqueue(Job(work_us(10)))
+    # Two dispatches and the scan that queued the third job; the last two
+    # join the queue behind it without a scan.
+    assert len(scans) == 3
+    assert sched.queue_depth == 3
+    sim.run()
