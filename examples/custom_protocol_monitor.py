@@ -12,7 +12,7 @@ Run:  python examples/custom_protocol_monitor.py
 
 from repro.cluster.node import ServerNode
 from repro.net.packet import Frame
-from repro.sim import RngRegistry, Simulator, TraceRecorder
+from repro.sim import RngRegistry, Simulator
 from repro.sim.units import MS
 
 
@@ -35,7 +35,7 @@ def main() -> None:
     sim = Simulator()
     server = ServerNode(
         sim, "server", policy="ncap.cons", app="memcached",
-        rng=RngRegistry(3), trace=TraceRecorder(),
+        rng=RngRegistry(3),
     )
     server.attach_port(SinkPort())
     server.start()

@@ -12,7 +12,7 @@ Run:  python examples/memcached_burst_tolerance.py
 
 from repro.cluster.node import ServerNode
 from repro.net import make_memcached_request
-from repro.sim import RngRegistry, Simulator, TraceRecorder
+from repro.sim import RngRegistry, Simulator
 from repro.sim.units import MS, US
 
 
@@ -25,15 +25,20 @@ class SinkPort:
 
 def main() -> None:
     sim = Simulator()
-    trace = TraceRecorder()
     server = ServerNode(
-        sim, "server", policy="ncap.cons", app="memcached",
-        rng=RngRegistry(7), trace=trace,
+        sim, "server", policy="ncap.cons", app="memcached", rng=RngRegistry(7),
     )
     server.attach_port(SinkPort())
-    server.start()
 
-    timeline = []
+    timeline = [
+        (0, f"frequency starts at {server.package.frequency_hz / 1e9:.2f} GHz")
+    ]
+    # Every P-state transition, exactly as it happens, from the probe bus.
+    server.telemetry.probes.subscribe(
+        "cpu.pstate",
+        lambda e: timeline.append((e.t_ns, f"frequency -> {e.freq_hz / 1e9:.2f} GHz")),
+    )
+    server.start()
 
     # Put the machine to sleep the way a long idle period would.
     def park():
@@ -75,9 +80,6 @@ def main() -> None:
     engine = server.engine
     for t in engine.wake_interrupt_times():
         timeline.append((t, "NCAP posts proactive wake interrupt (IT_RX/IT_HIGH)"))
-    freq = trace.event_channel("server.cpu.freq_ghz")
-    for t, f in zip(freq.times, freq.values):
-        timeline.append((t, f"frequency -> {f:.2f} GHz"))
 
     print("timeline (ms since start):")
     for t, event in sorted(timeline):

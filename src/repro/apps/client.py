@@ -81,6 +81,10 @@ class OpenLoopClient:
     ):
         if burst_size < 1:
             raise ValueError("burst_size must be at least 1")
+        if not 0 <= jitter_fraction <= 1:
+            raise ValueError(
+                f"jitter_fraction must be in [0, 1], got {jitter_fraction}"
+            )
         if burst_period_ns <= 0:
             raise ValueError("burst_period_ns must be positive")
         self._sim = sim

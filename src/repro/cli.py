@@ -240,7 +240,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export_trace(args: argparse.Namespace) -> int:
-    from repro.metrics.export import export_figure4_bundle
+    from repro.metrics.export import export_timeseries_csv
+    from repro.telemetry.recorder import RecorderConfig
 
     settings = _settings(args)
     config = ExperimentConfig.from_settings(
@@ -248,16 +249,15 @@ def cmd_export_trace(args: argparse.Namespace) -> int:
         app=args.app,
         policy=args.policy,
         target_rps=_resolve_rps(args.app, args.load, None),
-        collect_traces=True,
     )
-    result = run_experiment(config)
-    assert result.trace is not None
-    paths = export_figure4_bundle(
-        result.trace,
+    result = run_experiment(
+        config, record_timeseries=RecorderConfig(interval_ns=1 * MS)
+    )
+    paths = export_timeseries_csv(
+        result.timeseries,
         args.out,
         config.warmup_ns,
         config.warmup_ns + config.measure_ns,
-        1 * MS,
     )
     for path in paths:
         print(path)
@@ -1024,7 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.set_defaults(fn=cmd_dashboard)
 
     p_exp = add_parser(
-        "export-trace", help="run traced and dump Figure-4 series as CSV"
+        "export-trace",
+        help="run with the flight recorder and dump its 1 ms series as CSV",
     )
     p_exp.add_argument("--app", choices=tuple(LOAD_LEVELS), default="apache")
     p_exp.add_argument("--policy", choices=tuple(POLICIES), default="ond.idle")

@@ -42,7 +42,6 @@ from repro.oskernel.scheduler import Scheduler
 from repro.oskernel.sysfs import SysFS
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
 from repro.telemetry import Telemetry, ensure_telemetry
 
@@ -57,7 +56,6 @@ class ServerNode:
         policy: Union[str, PolicyConfig],
         app: str,
         rng: RngRegistry,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         processor: ProcessorConfig = ProcessorConfig(),
         netstack: NetStackCosts = NetStackCosts(),
@@ -72,24 +70,16 @@ class ServerNode:
         self.name = name
         self.policy = get_policy(policy)
         self.app_name = app
-        self.trace = trace
 
         # One Telemetry instance is shared by every component of the node,
         # so the stats registry namespaces (nic.*, cpuidle.*, governor.*,
         # ncap.*, app.*) all live together and a single snapshot covers the
-        # whole server.  A ChannelSink bridges probe events back into the
-        # legacy trace channels when a TraceRecorder is supplied.
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        # whole server.
+        self.telemetry = ensure_telemetry(telemetry)
 
         self.package = processor.build_package(
             sim, name=f"{name}.cpu", telemetry=self.telemetry
         )
-        if trace is not None:
-            # Pre-create the per-core C-state channels so traces expose
-            # them even for cores that never sleep (the ChannelSink only
-            # creates channels lazily, on the first transition).
-            for core in self.package.cores:
-                trace.event_channel(f"{name}.core{core.core_id}.cstate")
         self.scheduler = Scheduler(sim, self.package)
         self.irq = IRQController(sim, self.package)
         self.cpufreq = CpufreqDriver(sim, self.package)

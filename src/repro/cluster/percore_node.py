@@ -39,7 +39,6 @@ from repro.oskernel.netstack import NetStackCosts
 from repro.oskernel.scheduler import Scheduler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
 from repro.telemetry import Telemetry, ensure_telemetry
 
@@ -80,7 +79,6 @@ class PerCoreServerNode:
         name: str,
         app: str,
         rng: RngRegistry,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         processor: ProcessorConfig = ProcessorConfig(),
         netstack: NetStackCosts = NetStackCosts(),
@@ -97,15 +95,10 @@ class PerCoreServerNode:
         # One Telemetry instance spans all domains/queues; per-instance
         # stats prefixes (cpuidle.core<N>, driver.q<N>, ncap.q<N>) keep
         # each replica's counters separate within the shared registry.
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         self.processor = MultiDomainProcessor(
             sim, processor, name=f"{name}.cpu", telemetry=self.telemetry
         )
-        if trace is not None:
-            # Pre-create per-core C-state channels (the ChannelSink only
-            # creates them lazily, on the first transition).
-            for core in self.processor.cores:
-                trace.event_channel(f"{name}.core{core.core_id}.cstate")
         self.scheduler = Scheduler(sim, self.processor)  # facade: .cores
         self.irq = IRQController(sim, self.processor)
         self.cpuidle = PerCoreCpuidle(self.processor, telemetry=self.telemetry)

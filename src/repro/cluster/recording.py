@@ -21,11 +21,9 @@ plus any extra registry subtrees named in
 
 Utilization and power are *windowed* gauges: closures snapshot the
 package's cumulative busy-ns / energy at each tick and record the delta
-over the elapsed interval, exactly the way the retired
-``UtilizationSampler`` binned utilization.  When a live trace recorder is
-passed, the utilization source carries a tap that keeps writing the
-legacy ``<node>.cpu.util`` event channel on every raw sample, so trace
-consumers (Figure 4, the trace-invariant tests) see bit-identical data.
+over the elapsed interval.  At a 1 ms cadence these are the series the
+paper's Figure 4 and the Figure 8/9 snapshots plot; exact per-transition
+data (every P-state or C-state change) comes from the probe bus instead.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.telemetry.recorder import RecorderConfig, TimeSeriesRecorder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import ServerNode
     from repro.sim.kernel import Simulator
-    from repro.sim.trace import TraceRecorder
 
 #: Registry counters sampled cumulatively on every server recorder.
 STANDARD_COUNTERS = (
@@ -51,9 +48,8 @@ STANDARD_COUNTERS = (
 def utilization_source(package, interval_ns: int):
     """Mean core utilization over each elapsed interval, clamped to 1.
 
-    Matches the legacy ``UtilizationSampler`` bin math: the delta of
-    cumulative busy-ns since the previous tick, averaged across cores and
-    normalized by the sampling interval.
+    The delta of cumulative busy-ns since the previous tick, averaged
+    across cores and normalized by the sampling interval.
     """
     state = {"busy": package.busy_ns_per_core()}
 
@@ -64,10 +60,6 @@ def utilization_source(package, interval_ns: int):
         deltas = [b - prev for b, prev in zip(busy, last)]
         return min(1.0, sum(deltas) / (len(deltas) * interval_ns))
 
-    def reset() -> None:
-        state["busy"] = package.busy_ns_per_core()
-
-    sample.reset = reset  # type: ignore[attr-defined]
     return sample
 
 
@@ -102,13 +94,11 @@ def build_server_recorder(
     sim: "Simulator",
     server: "ServerNode",
     config: Optional[RecorderConfig] = None,
-    trace: Optional["TraceRecorder"] = None,
 ) -> TimeSeriesRecorder:
     """A recorder pre-loaded with the standard series for ``server``.
 
     The recorder is returned un-started so callers can add watchpoints or
-    extra sources first.  ``trace``, when given, receives the legacy
-    ``<node>.cpu.util`` channel through a tap on the utilization source.
+    extra sources first.
     """
     config = config or RecorderConfig.coarse()
     recorder = TimeSeriesRecorder(
@@ -130,15 +120,7 @@ def build_server_recorder(
     for i, core in enumerate(package.cores):
         recorder.add_source(f"core{i}.cstate", cstate_source(core))
 
-    util_tap = None
-    if trace is not None:
-        channel = trace.event_channel(f"{server.name}.cpu.util")
-        util_tap = channel.record
-    recorder.add_source(
-        "cpu.util",
-        utilization_source(package, config.interval_ns),
-        tap=util_tap,
-    )
+    recorder.add_source("cpu.util", utilization_source(package, config.interval_ns))
     recorder.add_source("power.watts", power_source(package, config.interval_ns))
     recorder.add_source("runq.depth", lambda: float(server.scheduler.queue_depth))
     recorder.add_source("nic.rx_ring", lambda: float(server.nic.rx_pending))

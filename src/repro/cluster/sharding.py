@@ -67,15 +67,12 @@ from repro.harness.record import ResultRecord
 from repro.harness.runner import resolve_jobs
 from repro.metrics.energy import average_power_w, energy_delta
 from repro.metrics.latency import LatencyStats
-from repro.net.link import Link
 from repro.net.switch import Switch
 from repro.oskernel.cpuidle import IdleAccounting, build_idle_accounting
 from repro.profiling.fleet import FleetProfile, WindowSample
 from repro.profiling.profiler import SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NullTraceRecorder
-from repro.sim.units import US, gbps
 from repro.telemetry.monitor import RunMonitor, resolve_monitor
 from repro.telemetry.recorder import (
     RecorderConfig,
@@ -198,7 +195,6 @@ class ShardRun:
         if profiler is not None:
             self.sim.set_profiler(profiler)
         self.rng = RngRegistry(config.seed)
-        self._trace = NullTraceRecorder()
         self.switch = Switch(self.sim)
         self.servers: List[ServerNode] = []
         self.clients: Dict[str, List[OpenLoopClient]] = {}
@@ -220,13 +216,9 @@ class ShardRun:
         for i in self.server_indices:
             server_name = f"server{i}"
             server = ServerNode(
-                self.sim, server_name, config.policy, config.app, self.rng,
-                trace=self._trace,
+                self.sim, server_name, config.policy, config.app, self.rng
             )
-            link = Link(self.sim, gbps(10), 1 * US)
-            link.attach(server, self.switch)
-            server.attach_port(link.endpoint_port(server))
-            self.switch.attach_link(link, server_name)
+            self.switch.connect(server)
             self.servers.append(server)
             if self.tracer is not None:
                 self.tracer.attach_server(i, server)
@@ -246,10 +238,7 @@ class ShardRun:
 
             if config.frontend is not None:
                 port = FrontendPort(self.sim, f"frontend{i}")
-                fe_link = Link(self.sim, gbps(10), 1 * US)
-                fe_link.attach(port, self.switch)
-                port.attach_port(fe_link.endpoint_port(port))
-                self.switch.attach_link(fe_link, port.name)
+                self.switch.connect(port)
                 self.frontend_ports[i] = port
                 if self.tracer is not None:
                     self.tracer.attach_port(i, port)
@@ -274,16 +263,13 @@ class ShardRun:
                         jitter_rng=self.rng.stream(f"{client_name}.jitter"),
                         jitter_fraction=0.30,
                     )
-                    client_link = Link(self.sim, gbps(10), 1 * US)
-                    client_link.attach(client, self.switch)
-                    client.attach_port(client_link.endpoint_port(client))
-                    self.switch.attach_link(client_link, client_name)
+                    self.switch.connect(client)
                     pool.append(client)
                 self.clients[server_name] = pool
 
             if i in record_indices:
                 self.recorders[server_name] = build_server_recorder(
-                    self.sim, server, recorder_config, trace=self._trace
+                    self.sim, server, recorder_config
                 )
 
         self._snapshots: Dict[str, EnergyReport] = {}

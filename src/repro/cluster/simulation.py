@@ -24,23 +24,21 @@ from repro.apps.client import (
 from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
 from repro.cluster.node import ServerNode
 from repro.cluster.policies import PolicyConfig
-from repro.cluster.recording import build_server_recorder, utilization_source
+from repro.cluster.recording import build_server_recorder
 from repro.core.config import NCAPConfig
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.energy import EnergyReport
 from repro.metrics.energy import average_power_w, energy_delta
 from repro.metrics.latency import LatencyStats
 from repro.net.interrupts import ModerationConfig
-from repro.net.link import Link
 from repro.net.switch import Switch
 from repro.oskernel.cpuidle import build_idle_accounting
 from repro.oskernel.netstack import NetStackCosts
 from repro.profiling.profiler import LoopProfile, SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
 from repro.sim.units import MS, US, gbps
-from repro.telemetry import ChannelSink, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.recorder import (
     TimeSeriesRecorder,
     TimeseriesBundle,
@@ -70,7 +68,6 @@ class ExperimentConfig:
     drain_ns: int = 60 * MS
     seed: int = 1
     ondemand_period_ns: int = 10 * MS
-    collect_traces: bool = False
     link_bandwidth_bps: float = gbps(10)
     link_latency_ns: int = 1 * US
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
@@ -114,10 +111,11 @@ class ExperimentConfig:
 class ExperimentResult:
     """Everything a bench/table needs from one run.
 
-    ``trace`` and ``server`` are populated only on request
-    (``collect_traces=True`` / ``keep_server=True``): the live server
-    pins the whole simulated cluster in memory and makes the result
-    unpicklable, which sweeps and process-pool runs cannot afford.
+    ``server`` is populated only on request (``keep_server=True``): the
+    live server pins the whole simulated cluster in memory and makes the
+    result unpicklable, which sweeps and process-pool runs cannot afford.
+    Time series come from ``record_timeseries=`` (``timeseries``); exact
+    per-event data comes from a sink passed through ``sinks=``.
     """
 
     policy_name: str
@@ -158,7 +156,6 @@ class ExperimentResult:
     #: ``energy_attribution=True``.  Plain data — picklable.  Additive:
     #: None on plain runs.
     energy_attribution: Optional[EnergyAttribution] = None
-    trace: Optional[TraceRecorder] = None
     server: Optional[ServerNode] = None
 
     @property
@@ -195,19 +192,14 @@ class Cluster:
         )
         if self.profiler is not None:
             self.sim.set_profiler(self.profiler)
-        self.trace: TraceRecorder = (
-            TraceRecorder() if config.collect_traces else NullTraceRecorder()
-        )
         self.rng = RngRegistry(config.seed)
         # Sinks attach here (constructor argument, NOT a config field:
         # ExperimentConfig feeds the sweep cache hash, and attaching an
-        # observer must not invalidate cached results).  With no sinks and
-        # collect_traces=False every probe stays disabled — the hot path
-        # pays a single truthiness check.  ``audit`` and
-        # ``streaming_latency`` are observers too, for the same reason.
+        # observer must not invalidate cached results).  With no sinks
+        # every probe stays disabled — the hot path pays a single
+        # truthiness check.  ``audit`` and ``streaming_latency`` are
+        # observers too, for the same reason.
         self.telemetry = Telemetry()
-        if config.collect_traces:
-            self.telemetry.add_sink(ChannelSink(self.trace))
         self.auditor: Optional[InvariantAuditor] = (
             self.telemetry.add_sink(InvariantAuditor()) if audit else None
         )
@@ -222,7 +214,6 @@ class Cluster:
             config.policy,
             config.app,
             self.rng,
-            trace=self.trace,
             telemetry=self.telemetry,
             processor=config.processor,
             netstack=config.netstack,
@@ -265,36 +256,16 @@ class Cluster:
             StreamingSketch() if streaming_latency else None
         )
         #: Flight recorder — an observer like sinks/audit, never a config
-        #: field.  ``record_timeseries=`` builds the full standard-series
-        #: recorder (and exports a bundle on the result); with only
-        #: ``collect_traces`` a minimal recorder keeps the legacy
-        #: ``<node>.cpu.util`` channel alive at the retired
-        #: UtilizationSampler's exact cadence and bin math.
+        #: field.  ``record_timeseries=`` builds the standard-series
+        #: recorder and exports its bundle on the result.
         self.recorder: Optional[TimeSeriesRecorder] = None
-        self._export_timeseries = False
         recorder_config = resolve_recorder_config(record_timeseries)
         if recorder_config is not None:
             self.recorder = build_server_recorder(
-                self.sim,
-                self.server,
-                recorder_config,
-                trace=self.trace if config.collect_traces else None,
+                self.sim, self.server, recorder_config
             )
             for watchpoint in watchpoints or ():
                 self.recorder.add_watchpoint(watchpoint)
-            self._export_timeseries = True
-        elif config.collect_traces:
-            interval_ns = 1 * MS
-            recorder = TimeSeriesRecorder(
-                self.sim, telemetry=self.telemetry, interval_ns=interval_ns
-            )
-            channel = self.trace.event_channel(f"{self.server.name}.cpu.util")
-            recorder.add_source(
-                "cpu.util",
-                utilization_source(self.server.package, interval_ns),
-                tap=channel.record,
-            )
-            self.recorder = recorder
 
         burst_size = (
             config.burst_size
@@ -329,15 +300,10 @@ class Cluster:
             self.clients.append(client)
 
         # Star topology around the switch.
-        server_link = Link(self.sim, config.link_bandwidth_bps, config.link_latency_ns)
-        server_link.attach(self.server, self.switch)
-        self.server.attach_port(server_link.endpoint_port(self.server))
-        self.switch.attach_link(server_link, "server")
-        for client in self.clients:
-            link = Link(self.sim, config.link_bandwidth_bps, config.link_latency_ns)
-            link.attach(client, self.switch)
-            client.attach_port(link.endpoint_port(client))
-            self.switch.attach_link(link, client.name)
+        for device in (self.server, *self.clients):
+            self.switch.connect(
+                device, config.link_bandwidth_bps, config.link_latency_ns
+            )
 
     def _attribution_listener(self, client_name: str):
         sink = self.attribution
@@ -470,13 +436,12 @@ class Cluster:
                 self.attribution.summary() if self.attribution is not None else None
             ),
             timeseries=(
-                self.recorder.bundle() if self._export_timeseries else None
+                self.recorder.bundle() if self.recorder is not None else None
             ),
             profile=(
                 self.profiler.profile() if self.profiler is not None else None
             ),
             energy_attribution=energy_attribution,
-            trace=self.trace if config.collect_traces else None,
             server=self.server if keep_server else None,
         )
 

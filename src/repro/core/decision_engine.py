@@ -29,7 +29,6 @@ from typing import Callable, List, Optional
 from repro.core.config import NCAPConfig
 from repro.net.interrupts import ICR
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import NcapWake, Telemetry, ensure_telemetry
 
 
@@ -46,7 +45,6 @@ class DecisionEngine:
         last_interrupt_ns: Callable[[], int],
         cpu_at_max: Callable[[], bool],
         enable_cit: bool = True,
-        trace: Optional[TraceRecorder] = None,
         name: str = "ncap",
         telemetry: Optional[Telemetry] = None,
         stats_prefix: str = "ncap",
@@ -69,7 +67,7 @@ class DecisionEngine:
         self._boost_active = False
         self._started = False
 
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         stats = self.telemetry.scope(stats_prefix)
         self._ticks = stats.counter("ticks")
         self._it_high = stats.counter("it_high.posts")

@@ -19,8 +19,6 @@ from repro.core.tx_counter import TxBytesCounter
 from repro.net.nic import NIC
 from repro.oskernel.sysfs import SysFS
 from repro.sim.kernel import Event, Simulator
-from repro.sim.trace import TraceRecorder
-from repro.telemetry import ensure_telemetry
 
 
 class NCAPHardware:
@@ -32,19 +30,14 @@ class NCAPHardware:
         nic: NIC,
         config: NCAPConfig,
         cpu_at_max: Callable[[], bool],
-        trace: Optional[TraceRecorder] = None,
         stats_prefix: str = "ncap",
     ):
         self._sim = sim
         self.nic = nic
         self.config = config
         # The NIC's telemetry is the natural home: the monitor/counter/
-        # engine are hardware blocks on that NIC.  A ChannelSink attached
-        # there keeps the legacy `<name>.ncap.int_wake` channel alive.
-        telemetry = nic.telemetry
-        if trace is not None and telemetry.channel_trace() is None:
-            telemetry = ensure_telemetry(None, trace)
-        self.telemetry = telemetry
+        # engine are hardware blocks on that NIC.
+        self.telemetry = telemetry = nic.telemetry
         self.req_monitor = ReqMonitor(
             config.templates,
             sim=sim,

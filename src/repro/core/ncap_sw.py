@@ -16,8 +16,6 @@ the request, the core handling it is already awake.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import NCAPConfig
 from repro.core.decision_engine import DecisionEngine
 from repro.core.ncap_driver import NCAPDriverExtension
@@ -28,8 +26,6 @@ from repro.net.packet import Frame
 from repro.oskernel.irq import IRQController
 from repro.oskernel.timers import PeriodicKernelTask
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
-from repro.telemetry import ensure_telemetry
 
 
 class NCAPSoftware:
@@ -42,16 +38,12 @@ class NCAPSoftware:
         irq: IRQController,
         config: NCAPConfig,
         extension: NCAPDriverExtension,
-        trace: Optional[TraceRecorder] = None,
     ):
         self._sim = sim
         self._driver = driver
         self.config = config
         self.extension = extension
-        telemetry = driver.telemetry
-        if trace is not None and telemetry.channel_trace() is None:
-            telemetry = ensure_telemetry(None, trace)
-        self.telemetry = telemetry
+        self.telemetry = telemetry = driver.telemetry
         self.req_monitor = ReqMonitor(
             config.templates,
             sim=sim,

@@ -10,7 +10,6 @@ from repro.cpu.package import ClockDomain
 from repro.cpu.power import PowerModel, PowerModelConfig
 from repro.cpu.pstates import DVFSTimingModel, PStateTable
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import ghz
 from repro.telemetry import Telemetry
 
@@ -51,7 +50,6 @@ class ProcessorConfig:
     def build_package(
         self,
         sim: Simulator,
-        trace: Optional[TraceRecorder] = None,
         name: str = "cpu",
         telemetry: Optional[Telemetry] = None,
     ) -> ClockDomain:
@@ -63,7 +61,6 @@ class ProcessorConfig:
             power_model=PowerModel(self.power),
             dvfs_timing=self.dvfs_timing(),
             initial_pstate=self.initial_pstate,
-            trace=trace,
             name=name,
             telemetry=telemetry,
         )

@@ -19,7 +19,6 @@ from repro.cpu.energy import EnergyReport
 from repro.cpu.package import ClockDomain
 from repro.cpu.power import PowerModel
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import Telemetry, ensure_telemetry
 
 
@@ -30,14 +29,13 @@ class MultiDomainProcessor:
         self,
         sim: Simulator,
         config: ProcessorConfig = ProcessorConfig(),
-        trace: Optional[TraceRecorder] = None,
         name: str = "cpu",
         telemetry: Optional[Telemetry] = None,
     ):
         self._sim = sim
         self.name = name
         self.config = config
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         pstates = config.pstate_table()
         self.cstates: CStateTable = config.cstate_table()
         power_model = PowerModel(config.power)

@@ -23,7 +23,6 @@ from repro.cpu.energy import EnergyReport, PowerMeter
 from repro.cpu.power import PowerModel
 from repro.cpu.pstates import DVFSTimingModel, PStateTable
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import PStateChange, Telemetry, ensure_telemetry
 
 
@@ -39,7 +38,6 @@ class ClockDomain:
         power_model: PowerModel,
         dvfs_timing: Optional[DVFSTimingModel] = None,
         initial_pstate: int = 0,
-        trace: Optional[TraceRecorder] = None,
         name: str = "cpu",
         core_id_base: int = 0,
         telemetry: Optional[Telemetry] = None,
@@ -57,7 +55,7 @@ class ClockDomain:
         #: (read on every core power transition) and refreshed per switch.
         self.frequency_hz: float = pstates[self._index].freq_hz
         self.voltage: float = pstates[self._index].voltage
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         self._pstate_probe = self.telemetry.probe("cpu.pstate")
         self._transitions = self.telemetry.counter("cpu.pstate.transitions")
         self._transition_target: Optional[int] = None

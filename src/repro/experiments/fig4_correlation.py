@@ -9,8 +9,7 @@ Outputs:
 
 - 1 ms-binned series of BW(Rx), BW(Tx) (normalized to their maxima, as in
   the paper), mean core utilization U, and frequency F — all sampled by
-  the flight recorder (``record_timeseries=``) rather than bespoke trace
-  channels;
+  the flight recorder (``record_timeseries=``);
 - Pearson correlations between the series (the "strong correlation" claim);
 - the ondemand reaction lag: how far F's rise trails the BW(Rx) surge
   (the paper measures ~11 ms with a 10 ms invocation period);
@@ -27,9 +26,13 @@ import numpy as np
 from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.experiments.common import RunSettings
 from repro.metrics.report import format_series, format_table
-from repro.metrics.timeseries import normalized_series
+from repro.metrics.timeseries import (
+    bandwidth_series_mbps,
+    normalized_series,
+    window_points,
+)
 from repro.sim.units import MS
-from repro.telemetry.recorder import RecorderConfig, SeriesData
+from repro.telemetry.recorder import RecorderConfig
 
 
 @dataclass
@@ -69,10 +72,10 @@ def run(
     start = config.warmup_ns
     end = config.warmup_ns + config.measure_ns
 
-    bw_rx = _bandwidth_mbps(bundle.get("nic.rx.bytes"), start, end)
-    bw_tx = _bandwidth_mbps(bundle.get("nic.tx.bytes"), start, end)
-    util = _window(bundle.get("cpu.util"), start, end)
-    freq = _window(bundle.get("cpu.freq_ghz"), start, end)
+    bw_rx = bandwidth_series_mbps(bundle.get("nic.rx.bytes"), start, end)
+    bw_tx = bandwidth_series_mbps(bundle.get("nic.tx.bytes"), start, end)
+    util = window_points(bundle.get("cpu.util"), start, end)
+    freq = window_points(bundle.get("cpu.freq_ghz"), start, end)
 
     rx_vals = np.array([v for _, v in bw_rx])
     util_vals = np.array([v for _, v in util][: len(rx_vals)])
@@ -101,28 +104,6 @@ def run(
         },
         cstate_entries=result.cstate_entries,
     )
-
-
-def _window(
-    series: SeriesData, start_ns: int, end_ns: int
-) -> List[Tuple[int, float]]:
-    """Samples with ``start <= t <= end`` (the old step-series grid)."""
-    return [(t, v) for t, v in series.points() if start_ns <= t <= end_ns]
-
-
-def _bandwidth_mbps(
-    series: SeriesData, start_ns: int, end_ns: int
-) -> List[Tuple[int, float]]:
-    """Per-bin bandwidth (Mb/s) from a cumulative byte counter, labelled
-    by bin start (the old ``CounterChannel.rate_series`` layout)."""
-    out: List[Tuple[int, float]] = []
-    for i in range(1, len(series.times)):
-        t_prev, t = series.times[i - 1], series.times[i]
-        if not (start_ns <= t_prev < end_ns) or t <= t_prev:
-            continue
-        rate_bytes_s = (series.values[i] - series.values[i - 1]) * 1e9 / (t - t_prev)
-        out.append((t_prev, rate_bytes_s * 8 / 1e6))
-    return out
 
 
 def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -20,8 +20,13 @@ from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.experiments.common import RunSettings
 from repro.harness import ResultCache, SweepSpec, run_sweep
 from repro.metrics.report import format_series, format_table
-from repro.metrics.timeseries import bandwidth_series_mbps, normalized_series
+from repro.metrics.timeseries import (
+    bandwidth_series_mbps,
+    normalized_series,
+    window_points,
+)
 from repro.sim.units import MS
+from repro.telemetry.recorder import RecorderConfig
 
 
 @dataclass
@@ -104,8 +109,8 @@ def run(
                 )
             )
 
-    # Snapshots need the live trace and engine, so they stay out of the
-    # record pipeline and run in-process.
+    # Snapshots need 1 ms series and the live engine, so they stay out of
+    # the record pipeline and run in-process.
     snapshots = [
         _snapshot(app, policy, snapshot_load, settings, snapshot_window_ms)
         for policy in snapshot_policies
@@ -122,18 +127,17 @@ def _snapshot(
         app=app,
         policy=policy,
         target_rps=level.target_rps,
-        collect_traces=True,
         measure_ns=min(settings.measure_ns, window_ms * MS),
     )
-    result = run_experiment(config, keep_server=True)
-    trace = result.trace
-    assert trace is not None
+    result = run_experiment(
+        config, keep_server=True, record_timeseries=RecorderConfig(interval_ns=1 * MS)
+    )
+    bundle = result.timeseries
+    assert bundle is not None
     start = config.warmup_ns
     end = config.warmup_ns + config.measure_ns
-    bw_rx = bandwidth_series_mbps(trace, "server.rx_bytes", start, end, 1 * MS)
-    freq = trace.event_channel("server.cpu.freq_ghz").step_series(
-        start, end, 1 * MS, default=3.1
-    )
+    bw_rx = bandwidth_series_mbps(bundle.get("nic.rx.bytes"), start, end)
+    freq = window_points(bundle.get("cpu.freq_ghz"), start, end)
     wakes: List[int] = []
     engine = result.server.engine if result.server else None
     if engine is not None:

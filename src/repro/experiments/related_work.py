@@ -30,11 +30,9 @@ from repro.harness import Runner
 from repro.metrics.energy import energy_delta
 from repro.metrics.latency import LatencyStats
 from repro.metrics.report import format_table
-from repro.net.link import Link
 from repro.net.switch import Switch
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.units import US, gbps
 
 
 @dataclass
@@ -74,15 +72,9 @@ def run_adrenaline(
                 jitter_rng=rng.stream(f"{name}.jitter"), jitter_fraction=0.30,
             )
         )
-    server_link = Link(sim, gbps(10), 1 * US)
-    server_link.attach(server, switch)
-    server.attach_port(server_link.endpoint_port(server))
-    switch.attach_link(server_link, "server")
+    switch.connect(server)
     for client in clients:
-        link = Link(sim, gbps(10), 1 * US)
-        link.attach(client, switch)
-        client.attach_port(link.endpoint_port(client))
-        switch.attach_link(link, client.name)
+        switch.connect(client)
         client.start()
 
     window_start = settings.warmup_ns

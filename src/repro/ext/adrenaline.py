@@ -39,7 +39,6 @@ from repro.oskernel.netstack import NetStackCosts
 from repro.oskernel.scheduler import Scheduler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class AdrenalineServerNode:
         name: str,
         app: str,
         rng: RngRegistry,
-        trace: Optional[TraceRecorder] = None,
         processor: ProcessorConfig = ProcessorConfig(),
         netstack: NetStackCosts = NetStackCosts(),
         moderation: ModerationConfig = ModerationConfig(),
@@ -83,7 +81,7 @@ class AdrenalineServerNode:
             initial_pstate=config.idle_pstate,
         )
         self.processor = MultiDomainProcessor(
-            sim, fast_processor, trace=trace, name=f"{name}.cpu"
+            sim, fast_processor, name=f"{name}.cpu"
         )
         self.scheduler = Scheduler(sim, self.processor)
         self.irq = IRQController(sim, self.processor)
@@ -95,7 +93,7 @@ class AdrenalineServerNode:
 
         n_queues = processor.n_cores
         self.nic = MultiQueueNIC(
-            sim, name=name, n_queues=n_queues, moderation=moderation, trace=trace
+            sim, name=name, n_queues=n_queues, moderation=moderation
         )
         self.monitor = ReqMonitor(config.templates)
 

@@ -1,12 +1,13 @@
-"""Metrics: latency percentiles, energy windows, traces, text reports."""
+"""Metrics: latency percentiles, energy windows, recorded series, text reports."""
 
 from repro.metrics.energy import average_power_w, energy_delta
 from repro.metrics.latency import LatencyStats
 from repro.metrics.report import format_series, format_table, sparkline
 from repro.metrics.timeseries import (
-    UtilizationSampler,
     bandwidth_series_mbps,
+    counter_bins,
     normalized_series,
+    window_points,
 )
 
 __all__ = [
@@ -16,7 +17,8 @@ __all__ = [
     "format_series",
     "format_table",
     "sparkline",
-    "UtilizationSampler",
     "bandwidth_series_mbps",
+    "counter_bins",
     "normalized_series",
+    "window_points",
 ]

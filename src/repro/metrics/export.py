@@ -1,10 +1,11 @@
-"""Trace and result export: dump recorded data for external tooling.
+"""Series and result export: dump recorded data for external tooling.
 
 The benchmark suite prints sparkline reports, but anyone regenerating the
-paper's figures in a plotting tool needs the raw series.  These helpers
-write event channels (step functions) and counter channels (binned rates)
-to plain CSV files, and round-trip harness :class:`ResultRecord` lists
-through JSON (``export_result_records`` / ``load_result_records``).
+paper's figures in a plotting tool needs the raw series.
+:func:`export_timeseries_csv` writes every flight-recorder series of a run
+to one plain CSV file each, and ``export_result_records`` /
+``load_result_records`` round-trip harness :class:`ResultRecord` lists
+through JSON.
 """
 
 from __future__ import annotations
@@ -12,77 +13,44 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import TYPE_CHECKING, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List
 
-from repro.sim.trace import TraceRecorder
+from repro.metrics.timeseries import counter_bins, window_points
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.record import ResultRecord
+    from repro.telemetry.recorder import TimeseriesBundle
 
 
-def export_event_channel(
-    trace: TraceRecorder, channel: str, path: str
-) -> int:
-    """Write one event channel as ``time_ns,value`` rows; returns row count."""
-    ch = trace.event_channel(channel)
-    _ensure_dir(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ns", "value"])
-        for t, v in zip(ch.times, ch.values):
-            writer.writerow([t, v])
-    return len(ch.times)
-
-
-def export_counter_channel(
-    trace: TraceRecorder,
-    channel: str,
-    path: str,
-    start_ns: int,
-    end_ns: int,
-    bin_ns: int,
-) -> int:
-    """Write a counter channel as per-bin ``bin_start_ns,amount`` rows."""
-    ch = trace.counter_channel(channel)
-    bins = ch.binned(start_ns, end_ns, bin_ns)
-    _ensure_dir(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start_ns", "amount"])
-        for i, amount in enumerate(bins):
-            writer.writerow([start_ns + i * bin_ns, amount])
-    return len(bins)
-
-
-def export_figure4_bundle(
-    trace: TraceRecorder,
-    directory: str,
-    start_ns: int,
-    end_ns: int,
-    bin_ns: int,
-    node: str = "server",
-    core_ids: Sequence[int] = (0, 1, 2, 3),
+def export_timeseries_csv(
+    bundle: "TimeseriesBundle", directory: str, start_ns: int, end_ns: int
 ) -> List[str]:
-    """Export everything a Figure 4 plot needs; returns written paths."""
+    """Write each recorded series over a window as ``<series>.csv``.
+
+    Dots in the series name become underscores (``nic.rx.bytes`` ->
+    ``nic_rx_bytes.csv``).  A gauge becomes ``time_ns,value`` rows, one per
+    sample with ``start <= t <= end``; a cumulative counter becomes
+    ``bin_start_ns,amount`` rows, its increment over each sampling
+    interval that starts in ``[start, end)``.  Returns the written paths
+    in series order.
+    """
     paths = []
-    for channel, kind in (
-        (f"{node}.rx_bytes", "counter"),
-        (f"{node}.tx_bytes", "counter"),
-        (f"{node}.cpu.util", "event"),
-        (f"{node}.cpu.freq_ghz", "event"),
-    ):
-        path = os.path.join(directory, channel.replace(".", "_") + ".csv")
-        if kind == "counter":
-            export_counter_channel(trace, channel, path, start_ns, end_ns, bin_ns)
+    for series in bundle.series:
+        path = os.path.join(directory, series.name.replace(".", "_") + ".csv")
+        if series.kind == "counter":
+            header = ["bin_start_ns", "amount"]
+            rows = [
+                (t, amount) for t, _, amount in counter_bins(series, start_ns, end_ns)
+            ]
         else:
-            export_event_channel(trace, channel, path)
+            header = ["time_ns", "value"]
+            rows = window_points(series, start_ns, end_ns)
+        _ensure_dir(path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         paths.append(path)
-    for core_id in core_ids:
-        channel = f"{node}.core{core_id}.cstate"
-        if trace.has_channel(channel):
-            path = os.path.join(directory, channel.replace(".", "_") + ".csv")
-            export_event_channel(trace, channel, path)
-            paths.append(path)
     return paths
 
 

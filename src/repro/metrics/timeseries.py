@@ -1,86 +1,49 @@
-"""Time-series sampling helpers for Figure 4 / 8 / 9 style traces.
+"""Series helpers for the Figure 4 / 8 / 9 plots.
 
-:class:`UtilizationSampler` is deprecated: it survives as a thin wrapper
-over the flight recorder
-(:class:`~repro.telemetry.recorder.TimeSeriesRecorder`), which samples
-the same utilization bins through
-:func:`repro.cluster.recording.utilization_source` — plus everything
-else — with bounded memory and idempotent start/stop.  The wrapper also
-fixes the old double-schedule bug: ``stop()`` used to leave its queued
-sampling callback alive, so ``start()`` before that callback fired
-stacked a second sampling chain on top of the first.
+The flight recorder (:class:`~repro.telemetry.recorder.TimeSeriesRecorder`)
+samples every standard series on a fixed cadence — 1 ms for the paper's
+plots.  These helpers cut a recorded
+:class:`~repro.telemetry.recorder.SeriesData` to a measurement window and
+turn cumulative byte counters into per-bin increments and bandwidth.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro.cpu.package import ClockDomain
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
-from repro.sim.units import MS
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.recorder import SeriesData
 
 
-class UtilizationSampler:
-    """Deprecated: use a :class:`~repro.telemetry.recorder.TimeSeriesRecorder`
-    (see :func:`repro.cluster.recording.build_server_recorder`).
+def window_points(
+    series: "SeriesData", start_ns: int, end_ns: int
+) -> List[Tuple[int, float]]:
+    """Samples with ``start <= t <= end``."""
+    return [(t, v) for t, v in series.points() if start_ns <= t <= end_ns]
 
-    Periodically samples mean core utilization into a trace channel.
-    Pure instrumentation: sampling costs no simulated CPU time.  Kept as
-    a compatibility shim over the recorder; bins are bit-identical with
-    the original implementation.
-    """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        package: ClockDomain,
-        trace: TraceRecorder,
-        bin_ns: int = 1 * MS,
-        channel: str = "cpu.util",
-    ):
-        warnings.warn(
-            "UtilizationSampler is deprecated; use TimeSeriesRecorder "
-            "(repro.cluster.recording.build_server_recorder) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.cluster.recording import utilization_source
-        from repro.telemetry.recorder import TimeSeriesRecorder
-
-        self.bin_ns = bin_ns
-        self._package = package
-        self._source_state = utilization_source(package, bin_ns)
-        self._recorder = TimeSeriesRecorder(sim, interval_ns=bin_ns)
-        self._recorder.add_source(
-            "cpu.util",
-            self._source_state,
-            tap=trace.event_channel(channel).record,
-        )
-
-    def start(self) -> None:
-        """Idempotent; re-snapshots the busy baseline like the original."""
-        if not self._recorder.running:
-            self._source_state.reset()
-        self._recorder.start()
-
-    def stop(self) -> None:
-        self._recorder.stop()
+def counter_bins(
+    series: "SeriesData", start_ns: int, end_ns: int
+) -> List[Tuple[int, int, float]]:
+    """``(bin_start_ns, bin_ns, amount)`` for each sampling interval of a
+    cumulative counter that starts in ``[start, end)``."""
+    out: List[Tuple[int, int, float]] = []
+    times, values = series.times, series.values
+    for i in range(1, len(times)):
+        t_prev, t = times[i - 1], times[i]
+        if start_ns <= t_prev < end_ns and t > t_prev:
+            out.append((t_prev, t - t_prev, values[i] - values[i - 1]))
+    return out
 
 
 def bandwidth_series_mbps(
-    trace: TraceRecorder,
-    channel: str,
-    start_ns: int,
-    end_ns: int,
-    bin_ns: int = 1 * MS,
+    series: "SeriesData", start_ns: int, end_ns: int
 ) -> List[Tuple[int, float]]:
-    """Per-bin bandwidth (Mb/s) from a byte-counter channel."""
-    counter = trace.counter_channel(channel)
+    """Per-bin bandwidth (Mb/s) from a cumulative byte counter, labelled
+    by bin start."""
     return [
-        (t, rate_bytes_per_s * 8 / 1e6)
-        for t, rate_bytes_per_s in counter.rate_series(start_ns, end_ns, bin_ns)
+        (t, amount * 1e9 / bin_ns * 8 / 1e6)
+        for t, bin_ns, amount in counter_bins(series, start_ns, end_ns)
     ]
 
 

@@ -28,7 +28,6 @@ from repro.net.interrupts import ICR, InterruptModerator, ModerationConfig
 from repro.net.link import LinkPort
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
 from repro.telemetry import (
     NicRx,
@@ -171,7 +170,6 @@ class MultiQueueNIC:
         tx_dma_latency_ns: int = 5 * US,
         ring_size_per_queue: int = 1024,
         moderation: ModerationConfig = ModerationConfig(),
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         stats_prefix: str = "nic",
     ):
@@ -182,7 +180,7 @@ class MultiQueueNIC:
         self.dma_latency_ns = dma_latency_ns
         self.tx_dma_latency_ns = tx_dma_latency_ns
         self.ring_size_per_queue = ring_size_per_queue
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         self.stats_prefix = stats_prefix
         stats = self.telemetry.scope(stats_prefix)
         self._rx_frames = stats.counter("rx.frames")

@@ -33,7 +33,6 @@ from repro.net.interrupts import ICR, InterruptModerator, ModerationConfig
 from repro.net.link import LinkPort
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
 from repro.telemetry import (
     NicRx,
@@ -56,7 +55,6 @@ class NIC:
         tx_dma_latency_ns: int = 5 * US,
         rx_ring_size: int = 2048,
         moderation: ModerationConfig = ModerationConfig(),
-        trace: Optional[TraceRecorder] = None,
         tx_complete_interrupts: bool = False,
         telemetry: Optional[Telemetry] = None,
         stats_prefix: str = "nic",
@@ -77,7 +75,7 @@ class NIC:
         # Driver top half, invoked when an interrupt is posted.
         self.on_interrupt: Optional[Callable[[], None]] = None
 
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         stats = self.telemetry.scope(stats_prefix)
         self._rx_frames = stats.counter("rx.frames")
         self._rx_bytes = stats.counter("rx.bytes")

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.net.link import Link, LinkPort
+from repro.net.link import Link, LinkPort, NetDevice
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
-from repro.sim.units import US
+from repro.sim.units import US, gbps
 
 
 class Switch:
@@ -27,6 +27,24 @@ class Switch:
         self._ports: Dict[str, LinkPort] = {}
         self.frames_forwarded = 0
         self.frames_dropped = 0
+
+    def connect(
+        self,
+        device: NetDevice,
+        bandwidth_bps: float = gbps(10),
+        latency_ns: int = 1 * US,
+    ) -> Link:
+        """Wire ``device`` to this switch over a new link (star topology).
+
+        ``device`` takes its transmit port on the link through its
+        ``attach_port``, and frames addressed to ``device.name`` leave
+        through the link's other end.
+        """
+        link = Link(self._sim, bandwidth_bps, latency_ns)
+        link.attach(device, self)
+        device.attach_port(link.endpoint_port(device))
+        self.attach_link(link, device.name)
+        return link
 
     def attach_link(self, link: Link, peer_name: str) -> None:
         """Register ``link`` as the route to destination ``peer_name``.

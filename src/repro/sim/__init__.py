@@ -1,13 +1,7 @@
-"""Discrete-event simulation substrate: kernel, units, RNG, tracing."""
+"""Discrete-event simulation substrate: kernel, units, RNG."""
 
 from repro.sim.kernel import Event, HeapScheduler, SimulationError, Simulator
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.trace import (
-    CounterChannel,
-    EventChannel,
-    NullTraceRecorder,
-    TraceRecorder,
-)
 from repro.sim import units
 
 __all__ = [
@@ -17,9 +11,5 @@ __all__ = [
     "Simulator",
     "RngRegistry",
     "derive_seed",
-    "CounterChannel",
-    "EventChannel",
-    "NullTraceRecorder",
-    "TraceRecorder",
     "units",
 ]

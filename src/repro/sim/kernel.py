@@ -915,7 +915,6 @@ class HeapScheduler:
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        self._profiler: Optional["SimProfiler"] = None
         self.events_executed: int = 0
         #: Cancelled events lazily discarded off the top of the heap.
         self.cancelled_pops: int = 0
@@ -1029,20 +1028,10 @@ class HeapScheduler:
         """Stop the currently running :meth:`run` after the current event."""
         self._stopped = True
 
-    def set_profiler(self, profiler: Optional["SimProfiler"]) -> None:
-        """Attach (or detach, with ``None``) a dispatch-loop profiler."""
-        self._profiler = profiler
-
-    @property
-    def profiler(self) -> Optional["SimProfiler"]:
-        return self._profiler
-
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the heap empties or the clock passes ``until``."""
         if self._running:
             raise SimulationError("simulator is already running")
-        if self._profiler is not None:
-            return self._run_profiled(until)
         self._running = True
         self._stopped = False
         try:
@@ -1066,74 +1055,6 @@ class HeapScheduler:
                 self._now = until
         finally:
             self._running = False
-        return self._now
-
-    def _run_profiled(self, until: Optional[int] = None) -> int:
-        """Instrumented twin of :meth:`run` (one timer read per event)."""
-        profiler = self._profiler
-        self._running = True
-        self._stopped = False
-        perf = perf_counter_ns
-        record = profiler._record
-        checkpoint = profiler._checkpoint
-        every = profiler.checkpoint_every
-        countdown = profiler._countdown
-        max_depth = profiler.max_heap_depth
-        cancelled_ns = 0
-        loop_start = perf()
-        if profiler._wall0_ns is None:
-            profiler._note_start(self, loop_start)
-        t_prev = loop_start
-        try:
-            heap = self._heap
-            while heap and not self._stopped:
-                event = heap[0]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    event._queued = False
-                    self.cancelled_pops += 1
-                    self._cancelled_in_heap -= 1
-                    profiler.cancelled_pops += 1
-                    t_now = perf()
-                    cancelled_ns += t_now - t_prev
-                    t_prev = t_now
-                    continue
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(heap)
-                event._queued = False
-                self._now = event.time
-                self.events_executed += 1
-                event.fn(*event.args)
-                t_now = perf()
-                elapsed = t_now - t_prev
-                t_prev = t_now
-                entry = record.get(event.fn)
-                if entry is None:
-                    record[event.fn] = [1, elapsed]
-                    if len(record) >= profiler.fold_threshold:
-                        profiler._fold()
-                else:
-                    entry[0] += 1
-                    entry[1] += elapsed
-                depth = len(heap)
-                if depth > max_depth:
-                    max_depth = depth
-                profiler.events += 1
-                countdown -= 1
-                if countdown <= 0:
-                    checkpoint(self._now)
-                    countdown = every
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
-        finally:
-            self._running = False
-            loop_wall = perf() - loop_start
-            profiler.loop_wall_ns += loop_wall
-            profiler.cancelled_wall_ns += cancelled_ns
-            profiler.max_heap_depth = max_depth
-            profiler._countdown = countdown
-            profiler._note_run(self)
         return self._now
 
     def peek_next_time(self) -> Optional[int]:

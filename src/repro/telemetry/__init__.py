@@ -10,11 +10,13 @@ layers.  It bundles
   probe points (``cpu.cstate``, ``request.span``, ...) that sinks
   subscribe to.
 
-Sinks (:class:`~repro.telemetry.sinks.ChannelSink` for the legacy channel
-traces, :class:`~repro.telemetry.sinks.ChromeTraceSink` for Perfetto
-export) attach via :meth:`Telemetry.add_sink`.  With no sinks attached
-every probe point stays disabled and the hot-path cost is a single
-attribute check.
+Sinks (anything with ``attach(telemetry)``: the
+:class:`~repro.telemetry.sinks.ChromeTraceSink` Perfetto exporter, the
+invariant auditor, the attribution sink) attach via
+:meth:`Telemetry.add_sink`.  With no sinks attached every probe point
+stays disabled and the hot-path cost is a single attribute check.  Exact
+per-event data comes from subscribing to the probe bus; 1 ms series come
+from the flight recorder (:class:`~repro.telemetry.recorder.TimeSeriesRecorder`).
 """
 
 from __future__ import annotations
@@ -59,12 +61,7 @@ from repro.telemetry.registry import (  # noqa: F401 - re-exported
     Scope,
     StatsRegistry,
 )
-from repro.telemetry.sinks import (  # noqa: F401
-    ChannelSink,
-    ChromeTraceSink,
-    node_of_domain,
-)
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
+from repro.telemetry.sinks import ChromeTraceSink, node_of_domain  # noqa: F401
 
 
 class Telemetry:
@@ -102,28 +99,7 @@ class Telemetry:
         self.sinks.append(sink)
         return sink
 
-    def channel_trace(self) -> Optional[TraceRecorder]:
-        """The TraceRecorder of the first attached ChannelSink, if any."""
-        for sink in self.sinks:
-            if isinstance(sink, ChannelSink):
-                return sink.trace
-        return None
 
-
-def ensure_telemetry(
-    telemetry: Optional[Telemetry], trace: Optional[TraceRecorder] = None
-) -> Telemetry:
-    """Back-compat shim for components still built with ``trace=``.
-
-    When a component is constructed standalone (no shared ``telemetry``)
-    it gets a private instance; if it was also handed a live trace
-    recorder, a :class:`ChannelSink` keeps its old channels working.  A
-    :class:`NullTraceRecorder` does not earn a sink — it exists to make
-    sweeps fast, and leaving the probes disabled is strictly faster.
-    """
-    if telemetry is not None:
-        return telemetry
-    telemetry = Telemetry()
-    if trace is not None and not isinstance(trace, NullTraceRecorder):
-        telemetry.add_sink(ChannelSink(trace))
-    return telemetry
+def ensure_telemetry(telemetry: Optional[Telemetry]) -> Telemetry:
+    """``telemetry``, or a private instance for a standalone component."""
+    return telemetry if telemetry is not None else Telemetry()

@@ -1,8 +1,8 @@
 """Structured probe events emitted across the simulation layers.
 
 Every event carries its emission time (``t_ns``, integer simulated
-nanoseconds) plus enough identity for a sink to name channels or trace
-tracks without reaching back into the emitting component.  Events are only
+nanoseconds) plus enough identity for a sink to name its trace tracks
+without reaching back into the emitting component.  Events are only
 constructed when a probe point has subscribers, so they favour clarity
 over allocation tricks.
 

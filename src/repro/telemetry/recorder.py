@@ -62,10 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.triggers import Watchpoint
 
 SourceFn = Callable[[], float]
-#: Called with every raw base-cadence sample ``(t_ns, value)`` *before*
-#: ring storage or decimation — the hook legacy channel writers use to
-#: stay bit-identical with their pre-recorder behaviour.
-TapFn = Callable[[int, float], None]
 
 #: Default ring capacity: 4096 samples per series (a 400 ms run at 1 ms
 #: cadence stays un-decimated with 10x headroom).
@@ -345,13 +341,12 @@ def resolve_recorder_config(spec) -> Optional[RecorderConfig]:
 
 
 class _Source:
-    __slots__ = ("name", "fn", "kind", "tap")
+    __slots__ = ("name", "fn", "kind")
 
-    def __init__(self, name: str, fn: SourceFn, kind: str, tap: Optional[TapFn]):
+    def __init__(self, name: str, fn: SourceFn, kind: str):
         self.name = name
         self.fn = fn
         self.kind = kind
-        self.tap = tap
 
 
 class TimeSeriesRecorder:
@@ -398,22 +393,19 @@ class TimeSeriesRecorder:
         name: str,
         fn: SourceFn,
         kind: str = "gauge",
-        tap: Optional[TapFn] = None,
     ) -> None:
         """Sample ``fn()`` every tick as series ``name``.
 
         ``kind`` is ``"gauge"`` (point-in-time value) or ``"counter"``
-        (cumulative; consumers difference it into rates).  ``tap``, if
-        given, receives every raw base-cadence sample before ring
-        storage — decimation never affects what a tap sees.
+        (cumulative; consumers difference it into rates).
         """
         if kind not in ("gauge", "counter"):
             raise ValueError(f"unknown series kind {kind!r}")
         if any(s.name == name for s in self._sources):
             raise ValueError(f"series {name!r} already declared")
-        self._sources.append(_Source(name, fn, kind, tap))
+        self._sources.append(_Source(name, fn, kind))
 
-    def add_stat(self, name: str, tap: Optional[TapFn] = None) -> None:
+    def add_stat(self, name: str) -> None:
         """Sample one registry stat by exact name.
 
         Counters record cumulatively; gauges record their current value;
@@ -422,7 +414,7 @@ class TimeSeriesRecorder:
         stat = self._require_registry().get(name)
         if stat is None:
             raise KeyError(f"stat {name!r} is not declared in the registry")
-        self.add_source(name, *_stat_source(stat), tap=tap)
+        self.add_source(name, *_stat_source(stat))
 
     def add_pattern(self, pattern: str) -> None:
         """Sample every registry stat under a subtree (``"nic.rx.*"``).
@@ -500,10 +492,7 @@ class TimeSeriesRecorder:
         now = self._sim.now
         self._last_sample_ns = now
         for source in self._sources:
-            value = float(source.fn())
-            if source.tap is not None:
-                source.tap(now, value)
-            self._buffers[source.name].append(now, value)
+            self._buffers[source.name].append(now, float(source.fn()))
         for watchpoint in self._watchpoints:
             watchpoint.evaluate(self, now)
         self._pending = self._sim.schedule(self.interval_ns, self._tick, generation)

@@ -1,10 +1,4 @@
-"""Probe subscribers: the channel-trace rebuild and the Chrome-trace exporter.
-
-:class:`ChannelSink` reconstructs the pre-telemetry ``TraceRecorder``
-channel layout (``<nic>.rx_bytes``, ``<domain>.freq_ghz``,
-``<node>.core<N>.cstate``, ``<engine>.int_wake``) as one probe
-subscriber, so every figure reproduction and trace-invariant test keeps
-reading the channels it always has.
+"""Probe subscribers: the Chrome-trace exporter.
 
 :class:`ChromeTraceSink` assembles Chrome Trace Event Format / Perfetto
 JSON: C-state residency as complete (``"X"``) duration events per core
@@ -24,8 +18,6 @@ from repro.telemetry.events import (
     GovernorDecision,
     IrqDelivered,
     NcapWake,
-    NicRx,
-    NicTx,
     PacketClassified,
     PStateChange,
     RequestPhase,
@@ -33,7 +25,6 @@ from repro.telemetry.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.trace import TraceRecorder
     from repro.telemetry import Telemetry
 
 #: ``server.cpu`` and ``server.cpu.domain3`` both belong to node ``server``.
@@ -43,46 +34,6 @@ _DOMAIN_STEM = re.compile(r"\.cpu(\.domain\d+)?$")
 def node_of_domain(domain: str) -> str:
     """The node label a clock-domain name belongs to."""
     return _DOMAIN_STEM.sub("", domain)
-
-
-class ChannelSink:
-    """Rebuilds the legacy EventChannel/CounterChannel trace layout."""
-
-    def __init__(self, trace: "TraceRecorder"):
-        self.trace = trace
-
-    def attach(self, telemetry: "Telemetry") -> None:
-        bus = telemetry.probes
-        bus.subscribe("nic.rx", self._on_rx)
-        bus.subscribe("nic.tx", self._on_tx)
-        bus.subscribe("cpu.pstate", self._on_pstate)
-        bus.subscribe("cpu.cstate", self._on_cstate)
-        bus.subscribe("ncap.wake", self._on_wake)
-
-    # -- handlers --------------------------------------------------------
-
-    def _on_rx(self, event: NicRx) -> None:
-        self.trace.counter_channel(f"{event.nic}.rx_bytes").add(
-            event.t_ns, event.wire_bytes
-        )
-
-    def _on_tx(self, event: NicTx) -> None:
-        self.trace.counter_channel(f"{event.nic}.tx_bytes").add(
-            event.t_ns, event.wire_bytes
-        )
-
-    def _on_pstate(self, event: PStateChange) -> None:
-        self.trace.event_channel(f"{event.domain}.freq_ghz").record(
-            event.t_ns, event.freq_hz / 1e9
-        )
-
-    def _on_cstate(self, event: CStateTransition) -> None:
-        node = node_of_domain(event.domain)
-        channel = self.trace.event_channel(f"{node}.core{event.core_id}.cstate")
-        channel.record(event.t_ns, 0 if event.phase == "wake" else event.index)
-
-    def _on_wake(self, event: NcapWake) -> None:
-        self.trace.event_channel(f"{event.engine}.int_wake").record(event.t_ns, 1.0)
 
 
 class ChromeTraceSink:

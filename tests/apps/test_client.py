@@ -93,6 +93,16 @@ class TestTrafficGeneration:
         with pytest.raises(ValueError):
             OpenLoopClient(sim, "c", lambda t: None, burst_period_ns=0)
 
+    def test_jitter_fraction_must_lie_in_unit_interval(self):
+        # Above 1 the +-jitter spread reaches past zero and piles periods
+        # on the 1 ns clamp; below 0 the client would skip jitter.
+        sim = Simulator()
+        for jitter in (-0.5, 1.5, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="jitter_fraction"):
+                OpenLoopClient(sim, "c", lambda t: None, jitter_fraction=jitter)
+        for jitter in (0.0, 0.3, 1.0):
+            OpenLoopClient(sim, "c", lambda t: None, jitter_fraction=jitter)
+
 
 class TestRttRecording:
     def test_rtt_computed_from_send_time(self):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 import os
 
@@ -64,6 +65,47 @@ class TestRunCommand:
         files = os.listdir(out)
         assert any("freq" in f for f in files)
         assert any("rx_bytes" in f for f in files)
+
+
+class TestExportTrace:
+    def _export(self, capsys, out):
+        code = main(["export-trace", "--settings", "quick", "--out", out])
+        printed = capsys.readouterr().out.splitlines()
+        return code, printed
+
+    def test_one_csv_per_series_over_the_window(self, capsys, tmp_path):
+        out = os.path.join(str(tmp_path), "series")
+        code, printed = self._export(capsys, out)
+        assert code == 0
+        paths = printed[:-1]
+        assert printed[-1] == f"exported {len(paths)} series to {out}"
+        assert sorted(os.path.join(out, f) for f in os.listdir(out)) == sorted(paths)
+        names = {os.path.basename(p) for p in paths}
+        for expected in ("nic_rx_bytes.csv", "nic_tx_bytes.csv", "cpu_util.csv",
+                         "cpu_freq_ghz.csv", "core0_cstate.csv"):
+            assert expected in names
+        # Quick settings: a 150 ms window from 20 ms, sampled every 1 ms.
+        start, end = 20_000_000, 170_000_000
+        for path in paths:
+            with open(path) as fh:
+                header, *rows = list(csv.reader(fh))
+            times = [int(row[0]) for row in rows]
+            if header == ["bin_start_ns", "amount"]:
+                assert times == list(range(start, end, 1_000_000))
+            else:
+                assert header == ["time_ns", "value"]
+                assert times == list(range(start, end + 1, 1_000_000))
+
+    def test_second_run_writes_the_same_bytes(self, capsys, tmp_path):
+        first = os.path.join(str(tmp_path), "a")
+        second = os.path.join(str(tmp_path), "b")
+        assert self._export(capsys, first)[0] == 0
+        assert self._export(capsys, second)[0] == 0
+        assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+        for name in os.listdir(first):
+            with open(os.path.join(first, name), "rb") as a, \
+                    open(os.path.join(second, name), "rb") as b:
+                assert a.read() == b.read(), name
 
 
 def _fast_suite():

@@ -6,13 +6,15 @@ from repro.apps.apache import ApacheApp
 from repro.apps.memcached import MemcachedApp
 from repro.cluster.node import ServerNode
 from repro.oskernel.cpufreq import OndemandGovernor, PerformanceGovernor
-from repro.sim import RngRegistry, Simulator, TraceRecorder
+from repro.sim import RngRegistry, Simulator
+from repro.telemetry import Telemetry
+from tests.probe_log import ProbeLog
 
 
-def make_node(policy="perf", app="apache", trace=None):
+def make_node(policy="perf", app="apache", telemetry=None):
     sim = Simulator()
     node = ServerNode(
-        sim, "server", policy, app, RngRegistry(1), trace=trace
+        sim, "server", policy, app, RngRegistry(1), telemetry=telemetry
     )
     return sim, node
 
@@ -63,10 +65,18 @@ class TestWiring:
         assert node.sysfs.exists("/sys/class/net/server/ncap/templates")
 
     def test_trace_wires_cstate_channels(self):
-        trace = TraceRecorder()
-        sim, node = make_node("ond.idle", trace=trace)
-        assert trace.has_channel("server.core0.cstate")
-        assert trace.has_channel("server.cpu.freq_ghz")
+        # A sink on a shared Telemetry sees the node's probe points: the
+        # package announces its starting P-state at build time, and every
+        # core's C-state transitions arrive on the same bus.
+        telemetry = Telemetry()
+        log = telemetry.add_sink(ProbeLog())
+        sim, node = make_node("ond.idle", telemetry=telemetry)
+        assert node.telemetry is telemetry
+        assert [e.domain for e in log.events["cpu.pstate"]] == ["server.cpu"]
+        node.start()
+        sim.run(until=20_000_000)
+        cores = {e.core_id for e in log.events["cpu.cstate"]}
+        assert cores == {core.core_id for core in node.package.cores}
 
     def test_start_pins_performance_at_p0(self):
         sim, node = make_node("perf")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.simulation import Cluster, ExperimentConfig, run_experiment
 from repro.sim.units import MS
+from tests.probe_log import ProbeLog
 
 
 def quick_config(**overrides):
@@ -62,13 +63,24 @@ class TestRun:
         assert sum(with_idle.cstate_entries.values()) > 0
         assert sum(without.cstate_entries.values()) == 0
 
+    def test_burst_jitter_outside_unit_interval_rejected(self):
+        for jitter in (-0.5, 2.0):
+            config = quick_config(app="memcached", target_rps=50_000, burst_jitter=jitter)
+            with pytest.raises(ValueError, match="jitter_fraction"):
+                run_experiment(config)
+
     def test_traces_only_when_requested(self):
         plain = run_experiment(quick_config())
-        traced = run_experiment(quick_config(collect_traces=True))
-        assert plain.trace is None
-        assert traced.trace is not None
-        assert traced.trace.counter_channel("server.rx_bytes").total > 0
-        assert len(traced.trace.event_channel("server.cpu.util")) > 0
+        log = ProbeLog()
+        traced = run_experiment(quick_config(), sinks=[log], record_timeseries=True)
+        assert plain.timeseries is None
+        assert traced.timeseries is not None
+        rx_bytes = sum(e.wire_bytes for e in log.events["nic.rx"])
+        assert rx_bytes == traced.counters["nic.rx.bytes"] > 0
+        assert len(traced.timeseries.get("cpu.util").values) > 0
+        # Observers are pure: the traced run measures the same system.
+        assert traced.latency == plain.latency
+        assert traced.energy.energy_j == pytest.approx(plain.energy.energy_j, rel=1e-9)
 
     def test_determinism_same_seed(self):
         a = run_experiment(quick_config(policy="ncap.cons", seed=11))

@@ -5,14 +5,16 @@ import pytest
 from repro.core import NCAPConfig
 from repro.core.decision_engine import DecisionEngine
 from repro.net.interrupts import ICR
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.sim.units import MS, US
+from repro.telemetry import Telemetry
+from tests.probe_log import ProbeLog
 
 
 class Harness:
     """Drives a DecisionEngine with scripted counters."""
 
-    def __init__(self, config=None, enable_cit=True, cpu_at_max=False, trace=None):
+    def __init__(self, config=None, enable_cit=True, cpu_at_max=False, telemetry=None):
         self.sim = Simulator()
         self.req = 0
         self.tx = 0
@@ -29,7 +31,7 @@ class Harness:
             last_interrupt_ns=lambda: self.last_interrupt,
             cpu_at_max=lambda: self.cpu_at_max,
             enable_cit=enable_cit,
-            trace=trace,
+            telemetry=telemetry,
         )
         self.engine.start()
 
@@ -165,10 +167,14 @@ class TestBookkeeping:
         assert h.engine.ticks == 0
 
     def test_wake_times_recorded_in_trace(self):
-        trace = TraceRecorder()
-        h = Harness(trace=trace)
+        telemetry = Telemetry()
+        log = telemetry.add_sink(ProbeLog())
+        h = Harness(telemetry=telemetry)
         h.tick_after(100 * US, new_requests=10)
         assert h.engine.wake_interrupt_times() == [100 * US]
+        assert [(e.t_ns, e.engine, e.cause) for e in log.events["ncap.wake"]] == [
+            (100 * US, "ncap", "it_high")
+        ]
 
     def test_tick_before_start_self_initializes(self):
         sim = Simulator()

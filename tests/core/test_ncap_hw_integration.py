@@ -19,29 +19,27 @@ from repro.oskernel import (
     Scheduler,
     SysFS,
 )
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.sim.units import MS, US
 
 
 class Rig:
-    def __init__(self, config=None, initial_pstate=14, trace=None):
+    def __init__(self, config=None, initial_pstate=14):
         self.sim = Simulator()
-        self.trace = trace = trace or TraceRecorder()
         self.package = ProcessorConfig(
             n_cores=4, initial_pstate=initial_pstate
-        ).build_package(self.sim, trace=trace)
+        ).build_package(self.sim)
         self.scheduler = Scheduler(self.sim, self.package)
         self.cpufreq = CpufreqDriver(self.sim, self.package)
         self.irq = IRQController(self.sim, self.package)
         self.cpuidle = CpuidleDriver(MenuGovernor(self.package.cstates))
         self.scheduler.idle_hook = self.cpuidle.on_core_idle
-        self.nic = NIC(self.sim, trace=trace)
+        self.nic = NIC(self.sim)
         self.driver = NICDriver(self.sim, self.nic, self.irq, NetStackCosts())
         self.config = config or NCAPConfig()
         self.hw = NCAPHardware(
             self.sim, self.nic, self.config,
             cpu_at_max=lambda: self.package.at_max_performance,
-            trace=trace,
         )
         self.ext = NCAPDriverExtension(
             self.config, self.cpufreq, self.scheduler, cpuidle=self.cpuidle

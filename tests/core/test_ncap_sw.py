@@ -11,14 +11,13 @@ from repro.oskernel import (
     NetStackCosts,
     Scheduler,
 )
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.sim.units import MS
 
 
 class Rig:
     def __init__(self, config=None, initial_pstate=14):
         self.sim = Simulator()
-        self.trace = TraceRecorder()
         self.package = ProcessorConfig(
             n_cores=4, initial_pstate=initial_pstate
         ).build_package(self.sim)
@@ -35,7 +34,7 @@ class Rig:
             self.config, self.cpufreq, self.scheduler, cpuidle=self.cpuidle
         )
         self.sw = NCAPSoftware(
-            self.sim, self.driver, self.irq, self.config, self.ext, trace=self.trace
+            self.sim, self.driver, self.irq, self.config, self.ext
         )
         self.sw.start()
 

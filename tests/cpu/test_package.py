@@ -3,14 +3,16 @@
 import pytest
 
 from repro.cpu import CoreState, Job, ProcessorConfig
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from repro.sim.units import US, ghz
+from tests.probe_log import ProbeLog
 
 
-def make_package(n_cores=2, initial_pstate=0, trace=None):
+def make_package(n_cores=2, initial_pstate=0, telemetry=None):
     sim = Simulator()
     config = ProcessorConfig(n_cores=n_cores, initial_pstate=initial_pstate)
-    return sim, config.build_package(sim, trace=trace)
+    return sim, config.build_package(sim, telemetry=telemetry)
 
 
 class TestTransitions:
@@ -142,13 +144,16 @@ class TestHelpers:
         assert package.pstate_index > 0
 
     def test_trace_records_frequency_changes(self):
-        trace = TraceRecorder()
-        sim, package = make_package(trace=trace)
+        telemetry = Telemetry()
+        log = telemetry.add_sink(ProbeLog())
+        sim, package = make_package(telemetry=telemetry)
         package.set_pstate(14)
         sim.run()
-        channel = trace.event_channel("cpu.freq_ghz")
-        assert channel.values[0] == pytest.approx(3.1)
-        assert channel.values[-1] == pytest.approx(0.8)
+        events = log.events["cpu.pstate"]
+        assert {e.domain for e in events} == {"cpu"}
+        assert events[0].freq_hz / 1e9 == pytest.approx(3.1)
+        assert events[-1].freq_hz / 1e9 == pytest.approx(0.8)
+        assert events[-1].freq_hz == package.frequency_hz
 
     def test_energy_report_aggregates_cores(self):
         sim, package = make_package(n_cores=4)

@@ -1,29 +1,44 @@
-"""Tests for time-series sampling helpers."""
+"""Tests for the utilization source and the recorded-series helpers."""
 
 import pytest
 
+from repro.cluster.recording import utilization_source
 from repro.cpu import Job, ProcessorConfig
-from repro.metrics import UtilizationSampler, bandwidth_series_mbps, normalized_series
-from repro.sim import Simulator, TraceRecorder
+from repro.metrics import (
+    bandwidth_series_mbps,
+    counter_bins,
+    normalized_series,
+    window_points,
+)
+from repro.sim import Simulator
 from repro.sim.units import MS
+from repro.telemetry.recorder import SeriesData, TimeSeriesRecorder
 
 
-def _sampler(sim, package, trace, bin_ns=MS, channel="cpu.util"):
-    with pytest.warns(DeprecationWarning, match="TimeSeriesRecorder"):
-        return UtilizationSampler(sim, package, trace, bin_ns=bin_ns, channel=channel)
+def _recorder(sim, package, bin_ns=MS):
+    """A recorder sampling mean core utilization only."""
+    recorder = TimeSeriesRecorder(sim, interval_ns=bin_ns)
+    recorder.add_source("cpu.util", utilization_source(package, bin_ns))
+    return recorder
+
+
+def _util(recorder):
+    return recorder.buffer("cpu.util")
 
 
 class _ReferenceSampler:
-    """The original (pre-recorder) UtilizationSampler, verbatim, as the
-    parity oracle for the deprecated wrapper."""
+    """The original (pre-recorder) utilization sampler, verbatim apart
+    from where it stores its bins, as the parity oracle for
+    ``utilization_source`` on the flight recorder."""
 
-    def __init__(self, sim, package, trace, bin_ns=1 * MS, channel="cpu.util"):
+    def __init__(self, sim, package, bin_ns=1 * MS):
         self._sim = sim
         self._package = package
-        self._channel = trace.event_channel(channel)
         self.bin_ns = bin_ns
         self._last_busy = package.busy_ns_per_core()
         self._running = False
+        self.times = []
+        self.values = []
 
     def start(self):
         if self._running:
@@ -39,99 +54,67 @@ class _ReferenceSampler:
         deltas = [b - last for b, last in zip(busy, self._last_busy)]
         self._last_busy = busy
         mean_util = sum(deltas) / (len(deltas) * self.bin_ns)
-        self._channel.record(self._sim.now, min(1.0, mean_util))
+        self.times.append(self._sim.now)
+        self.values.append(min(1.0, mean_util))
         self._sim.schedule(self.bin_ns, self._sample)
 
 
-class TestUtilizationSampler:
-    def test_construction_warns_deprecated(self):
-        sim = Simulator()
-        package = ProcessorConfig(n_cores=1).build_package(sim)
-        with pytest.warns(DeprecationWarning, match="build_server_recorder"):
-            UtilizationSampler(sim, package, TraceRecorder(), bin_ns=MS)
-
-    def test_deprecation_contract_pinned(self):
-        # Pin the shim's full warning contract: exact category (a plain
-        # UserWarning would slip through `-W error::DeprecationWarning`
-        # gates), a message naming both the replacement class and the
-        # factory to migrate to, and stacklevel=2 so the warning points
-        # at the caller's line, not the shim's.
-        import warnings
-
-        sim = Simulator()
-        package = ProcessorConfig(n_cores=1).build_package(sim)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            UtilizationSampler(sim, package, TraceRecorder(), bin_ns=MS)
-        assert len(caught) == 1
-        warning = caught[0]
-        assert warning.category is DeprecationWarning
-        message = str(warning.message)
-        assert "UtilizationSampler is deprecated" in message
-        assert "TimeSeriesRecorder" in message
-        assert "repro.cluster.recording.build_server_recorder" in message
-        assert warning.filename == __file__
-
+class TestUtilizationSource:
     def test_samples_busy_fraction(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=2).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
-        sampler.start()
+        recorder = _recorder(sim, package)
+        recorder.start()
         # Core 0 busy for exactly half of the first bin.
         package.cores[0].dispatch(Job(3.1e9 * 500e-6))
         sim.run(until=2 * MS)
-        channel = trace.event_channel("cpu.util")
+        values = _util(recorder).values
         # Mean across 2 cores: core0 50%, core1 0% -> 25%.
-        assert channel.values[0] == pytest.approx(0.25, abs=0.01)
-        assert channel.values[1] == pytest.approx(0.0, abs=0.01)
+        assert values[0] == pytest.approx(0.25, abs=0.01)
+        assert values[1] == pytest.approx(0.0, abs=0.01)
 
     def test_stop(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
-        sampler.start()
-        sim.schedule_at(int(2.5 * MS), sampler.stop)
+        recorder = _recorder(sim, package)
+        recorder.start()
+        sim.schedule_at(int(2.5 * MS), recorder.stop)
         sim.run(until=10 * MS)
-        assert len(trace.event_channel("cpu.util")) == 2
+        assert len(_util(recorder)) == 2
 
     def test_start_idempotent(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
-        sampler.start()
-        sampler.start()
+        recorder = _recorder(sim, package)
+        recorder.start()
+        recorder.start()
         sim.run(until=MS)
-        assert len(trace.event_channel("cpu.util")) == 1
+        assert len(_util(recorder)) == 1
 
     def test_restart_after_stop_does_not_double_schedule(self):
-        # Regression: the original left its queued callback alive across
-        # stop(), so stop() + start() before the callback fired stacked a
-        # second sampling chain and produced duplicate bins forever.
+        # Regression: the original sampler left its queued callback alive
+        # across stop(), so stop() + start() before the callback fired
+        # stacked a second sampling chain and produced duplicate bins.
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
-        sampler.start()
+        recorder = _recorder(sim, package)
+        recorder.start()
         sim.run(until=int(1.5 * MS))
-        sampler.stop()
-        sampler.start()  # first chain's next tick (t=2ms) still queued
+        recorder.stop()
+        recorder.start()  # first chain's next tick (t=2ms) still queued
         sim.run(until=5 * MS)
-        times = list(trace.event_channel("cpu.util").times)
+        times = list(_util(recorder).times)
         assert times == sorted(set(times)), "duplicate bins: two chains"
         assert times == [MS, int(2.5 * MS), int(3.5 * MS), int(4.5 * MS)]
 
     def test_parity_with_original_implementation(self):
-        # Wrapper (channel A) and the verbatim original math (channel B)
-        # driven by the same simulation must bin identically.
+        # The recorder and the verbatim original math, driven by the same
+        # simulation, must bin identically.
         sim = Simulator()
         package = ProcessorConfig(n_cores=2).build_package(sim)
-        trace = TraceRecorder()
-        wrapper = _sampler(sim, package, trace, bin_ns=MS, channel="a.util")
-        reference = _ReferenceSampler(sim, package, trace, bin_ns=MS, channel="b.util")
-        wrapper.start()
+        recorder = _recorder(sim, package)
+        reference = _ReferenceSampler(sim, package, bin_ns=MS)
+        recorder.start()
         reference.start()
         # Staggered work so bins land at varied fractions.
         for i, us in enumerate((200, 750, 0, 1000, 333)):
@@ -143,19 +126,35 @@ class TestUtilizationSampler:
                     ),
                 )
         sim.run(until=6 * MS)
-        a = trace.event_channel("a.util")
-        b = trace.event_channel("b.util")
-        assert list(a.times) == list(b.times)
-        assert list(a.values) == list(b.values)  # bit-identical bins
+        series = _util(recorder)
+        assert series.times == reference.times
+        assert series.values == reference.values  # bit-identical bins
 
 
 class TestBandwidthSeries:
     def test_bytes_to_mbps(self):
-        trace = TraceRecorder()
-        counter = trace.counter_channel("rx")
-        counter.add(100, 125_000.0)  # 125 KB in a 1 ms bin = 1 Gb/s
-        series = bandwidth_series_mbps(trace, "rx", 0, MS, MS)
+        # 125 KB in a 1 ms bin = 1 Gb/s.
+        rx = SeriesData("rx", "counter", 1, times=[0, MS], values=[0.0, 125_000.0])
+        series = bandwidth_series_mbps(rx, 0, MS)
         assert series == [(0, pytest.approx(1000.0))]
+
+    def test_bins_labelled_by_start_and_cut_to_window(self):
+        rx = SeriesData(
+            "rx", "counter", 1,
+            times=[MS, 2 * MS, 3 * MS, 4 * MS], values=[10.0, 30.0, 60.0, 100.0],
+        )
+        assert counter_bins(rx, 2 * MS, 4 * MS) == [
+            (2 * MS, MS, 30.0), (3 * MS, MS, 40.0),
+        ]
+
+
+class TestWindowPoints:
+    def test_window_is_inclusive(self):
+        util = SeriesData(
+            "cpu.util", "gauge", 1,
+            times=[MS, 2 * MS, 3 * MS, 4 * MS], values=[0.1, 0.2, 0.3, 0.4],
+        )
+        assert window_points(util, 2 * MS, 3 * MS) == [(2 * MS, 0.2), (3 * MS, 0.3)]
 
 
 class TestNormalizedSeries:

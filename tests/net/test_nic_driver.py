@@ -4,8 +4,10 @@ from repro.cpu import CoreState, ProcessorConfig
 from repro.net import ICR, Frame, Link, ModerationConfig, NIC, NICDriver
 from repro.net.multiqueue import MultiQueueNIC
 from repro.oskernel import IRQController, NetStackCosts
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.sim.units import US, gbps
+from repro.telemetry import Telemetry
+from tests.probe_log import ProbeLog
 
 
 class WireStub:
@@ -20,7 +22,7 @@ class WireStub:
         self.sent.append(frame)
 
 
-def make_node(moderation=None, dma_latency=10 * US, trace=None):
+def make_node(moderation=None, dma_latency=10 * US, telemetry=None):
     sim = Simulator()
     package = ProcessorConfig(n_cores=2).build_package(sim)
     irq = IRQController(sim, package)
@@ -28,7 +30,7 @@ def make_node(moderation=None, dma_latency=10 * US, trace=None):
         sim,
         dma_latency_ns=dma_latency,
         moderation=moderation or ModerationConfig(),
-        trace=trace,
+        telemetry=telemetry,
     )
     wire = WireStub()
     nic.attach_port(wire)  # type: ignore[arg-type]
@@ -204,14 +206,17 @@ class TestTxPath:
 
 class TestTrace:
     def test_rx_tx_byte_channels_recorded(self):
-        trace = TraceRecorder()
-        sim, package, nic, driver, wire = make_node(trace=trace)
+        telemetry = Telemetry()
+        log = telemetry.add_sink(ProbeLog())
+        sim, package, nic, driver, wire = make_node(telemetry=telemetry)
         driver.packet_sink = lambda f: None
         nic.receive_frame(request())
         driver.transmit(Frame("server", "client", payload_bytes=5000))
         sim.run()
-        assert trace.counter_channel("eth0.rx_bytes").total > 0
-        assert trace.counter_channel("eth0.tx_bytes").total > 0
+        rx, tx = log.events["nic.rx"], log.events["nic.tx"]
+        assert {e.nic for e in rx + tx} == {"eth0"}
+        assert sum(e.wire_bytes for e in rx) == nic.rx_bytes > 0
+        assert sum(e.wire_bytes for e in tx) == nic.tx_bytes > 0
 
 
 class TestNCAPPostPath:

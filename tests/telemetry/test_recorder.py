@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.simulation import ExperimentConfig, run_experiment
+from repro.cluster.simulation import Cluster, ExperimentConfig, run_experiment
 from repro.harness import Runner
 from repro.sim import Simulator
 from repro.sim.units import MS
@@ -14,6 +14,8 @@ from repro.telemetry import (
     resolve_recorder_config,
 )
 from repro.telemetry.recorder import SeriesBuffer
+from tests.metrics.test_timeseries import _ReferenceSampler
+from tests.probe_log import ProbeLog
 
 
 class TestSeriesBuffer:
@@ -43,7 +45,12 @@ class TestRecorderLifecycle:
     def _recorder(self, sim, interval_ns=MS):
         recorder = TimeSeriesRecorder(sim, interval_ns=interval_ns)
         ticks = []
-        recorder.add_source("t", lambda: float(len(ticks)), tap=lambda t, v: ticks.append(t))
+
+        def source():
+            ticks.append(sim.now)
+            return float(len(ticks))
+
+        recorder.add_source("t", source)
         return recorder, ticks
 
     def test_start_idempotent(self):
@@ -55,7 +62,7 @@ class TestRecorderLifecycle:
         assert ticks == [MS]
 
     def test_restart_after_stop_never_double_schedules(self):
-        # Regression for the UtilizationSampler bug: stop() left its
+        # Regression for the old utilization sampler's bug: stop() left its
         # queued callback alive, so a start() before it fired stacked a
         # second sampling chain (duplicate samples per interval).
         sim = Simulator()
@@ -160,9 +167,14 @@ class TestDeterminism:
 
 class TestClusterWiring:
     @pytest.fixture(scope="class")
-    def result(self):
-        config = ExperimentConfig(seed=4, collect_traces=True, **TINY)
-        return run_experiment(config, record_timeseries="coarse")
+    def traced(self):
+        log = ProbeLog(points=("cpu.pstate",))
+        config = ExperimentConfig(seed=4, **TINY)
+        return run_experiment(config, record_timeseries="coarse", sinks=[log]), log
+
+    @pytest.fixture(scope="class")
+    def result(self, traced):
+        return traced[0]
 
     def test_standard_series_present(self, result):
         names = result.timeseries.names()
@@ -172,19 +184,24 @@ class TestClusterWiring:
             assert expected in names
         assert any(n.startswith("core") and n.endswith(".cstate") for n in names)
 
-    def test_legacy_util_channel_parity(self, result):
-        # The tap must keep the legacy channel bit-identical with the
-        # recorded series (and with the retired UtilizationSampler).
-        channel = result.trace.event_channel("server.cpu.util")
-        series = result.timeseries.get("cpu.util")
-        assert list(channel.times) == series.times
-        assert list(channel.values) == series.values
+    def test_legacy_util_channel_parity(self):
+        # The recorded cpu.util series is bit-identical with the original
+        # utilization sampler's bins, run alongside on the same cluster.
+        cluster = Cluster(ExperimentConfig(seed=4, **TINY), record_timeseries="coarse")
+        reference = _ReferenceSampler(cluster.sim, cluster.server.package, bin_ns=MS)
+        reference.start()
+        series = cluster.run().timeseries.get("cpu.util")
+        assert series.times == reference.times
+        assert series.values == reference.values
 
-    def test_freq_matches_trace_channel_bin_for_bin(self, result):
-        channel = result.trace.event_channel("server.cpu.freq_ghz")
+    def test_freq_matches_trace_channel_bin_for_bin(self, traced):
+        # Every 1 ms frequency sample equals the step function of the
+        # exact P-state transitions seen on the probe bus.
+        result, log = traced
         series = result.timeseries.get("cpu.freq_ghz")
+        assert len(log.events["cpu.pstate"]) > 1
         for t, v in zip(series.times, series.values):
-            assert channel.value_at(t, default=3.1) == v
+            assert log.freq_ghz_at(t) == v
 
     def test_counters_cumulative(self, result):
         rx = result.timeseries.get("nic.rx.bytes")

@@ -1,14 +1,10 @@
-"""Tests for the probe sinks: channel rebuild and Chrome-trace assembly."""
+"""Tests for the probe sinks: Chrome-trace assembly."""
 
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import (
-    ChannelSink,
     ChromeTraceSink,
     CStateTransition,
     GovernorDecision,
     NcapWake,
-    NicRx,
-    NicTx,
     PStateChange,
     RequestPhase,
     Telemetry,
@@ -20,52 +16,6 @@ def test_node_of_domain():
     assert node_of_domain("server.cpu") == "server"
     assert node_of_domain("server.cpu.domain3") == "server"
     assert node_of_domain("other") == "other"
-
-
-class TestChannelSink:
-    def make(self):
-        telemetry = Telemetry()
-        trace = TraceRecorder()
-        telemetry.add_sink(ChannelSink(trace))
-        return telemetry, trace
-
-    def test_rx_tx_bytes_channels(self):
-        telemetry, trace = self.make()
-        telemetry.probe("nic.rx").emit(NicRx(100, "server", 1500, "request"))
-        telemetry.probe("nic.tx").emit(NicTx(200, "server", 900, "response"))
-        assert trace.counter_channel("server.rx_bytes").total == 1500
-        assert trace.counter_channel("server.tx_bytes").total == 900
-
-    def test_freq_channel_in_ghz(self):
-        telemetry, trace = self.make()
-        telemetry.probe("cpu.pstate").emit(
-            PStateChange(0, "server.cpu", 0, 3.1e9)
-        )
-        channel = trace.event_channel("server.cpu.freq_ghz")
-        assert channel.values == [3.1]
-
-    def test_cstate_channel_records_index_then_zero(self):
-        telemetry, trace = self.make()
-        probe = telemetry.probe("cpu.cstate")
-        probe.emit(CStateTransition(10, "server.cpu", 2, "C6", 3, "enter"))
-        probe.emit(CStateTransition(50, "server.cpu", 2, "C6", 3, "wake"))
-        channel = trace.event_channel("server.core2.cstate")
-        assert channel.times == [10, 50]
-        assert channel.values == [3, 0]
-
-    def test_ncap_wake_channel(self):
-        telemetry, trace = self.make()
-        telemetry.probe("ncap.wake").emit(NcapWake(77, "eth0.ncap", "cit"))
-        channel = trace.event_channel("eth0.ncap.int_wake")
-        assert channel.times == [77]
-
-    def test_subscriptions_apply_to_probes_created_later(self):
-        telemetry = Telemetry()
-        trace = TraceRecorder()
-        telemetry.add_sink(ChannelSink(trace))
-        # The probe point did not exist when the sink attached.
-        telemetry.probe("nic.rx").emit(NicRx(5, "eth9", 60, "data"))
-        assert trace.counter_channel("eth9.rx_bytes").total == 60
 
 
 class TestChromeTraceSink:

@@ -15,6 +15,7 @@ from repro.viz import (
     standard_panels,
     write_dashboard,
 )
+from tests.probe_log import ProbeLog
 
 VOID_TAGS = {"meta", "br", "hr", "img", "input", "link", "rect", "line",
              "path", "circle", "text"}
@@ -142,18 +143,19 @@ class TestFromExperiment:
         config = ExperimentConfig(
             app="apache", policy="ond.idle", target_rps=24_000.0,
             warmup_ns=5 * MS, measure_ns=30 * MS, drain_ns=15 * MS,
-            seed=4, collect_traces=True,
+            seed=4,
         )
         watchpoint = Watchpoint(
             "busy", "cpu.util", threshold_above(0.5), capture_ns=2 * MS
         )
+        log = ProbeLog(points=("cpu.pstate",))
         result = run_experiment(
-            config, record_timeseries="coarse", watchpoints=[watchpoint]
+            config, record_timeseries="coarse", watchpoints=[watchpoint], sinks=[log]
         )
-        return config, result
+        return config, result, log
 
     def test_page_structure(self, run):
-        config, result = run
+        config, result, log = run
         page = dashboard_from_result(result, config=config)
         parser = _parse(page)
         assert parser.svg_panels >= 4
@@ -163,8 +165,8 @@ class TestFromExperiment:
 
     def test_frequency_series_matches_trace_bin_for_bin(self, run):
         # Acceptance: the dashboard's frequency panel carries exactly the
-        # trace channel's value at every recorder bin.
-        config, result = run
+        # frequency set by the last P-state transition at every recorder bin.
+        config, result, log = run
         page = dashboard_from_result(result, config=config)
         payload = json.loads(
             page.split('id="dash-data" type="application/json">')[1]
@@ -172,14 +174,13 @@ class TestFromExperiment:
         )
         freq_panel = next(p for p in payload["panels"] if p["title"] == "Frequency")
         series = freq_panel["series"][0]
-        channel = result.trace.event_channel("server.cpu.freq_ghz")
         assert len(series["times"]) >= 30
         for t_ms, value in zip(series["times"], series["values"]):
-            expected = channel.value_at(int(t_ms * 1e6), default=3.1)
+            expected = log.freq_ghz_at(int(t_ms * 1e6))
             assert value == pytest.approx(expected, abs=5e-7)
 
     def test_watchpoint_markers_rendered(self, run):
-        config, result = run
+        config, result, log = run
         if not result.timeseries.fired:
             pytest.skip("watchpoint did not trip in this run")
         page = dashboard_from_result(result, config=config)
@@ -195,7 +196,7 @@ class TestFromExperiment:
             dashboard_from_result(Hollow())
 
     def test_write_dashboard(self, run, tmp_path):
-        config, result = run
+        config, result, log = run
         path = str(tmp_path / "out" / "dash.html")
         page = dashboard_from_result(result, config=config)
         assert write_dashboard(page, path) == path
