@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro.apps.patterns import SpikePattern
 from repro.experiments import (
     RunSettings,
     ablations,
+    dynamics,
     fig1_dvfs_timing,
     fig2_ondemand_period,
     fig4_correlation,
     fig7_latency_load,
     headline,
+    percore,
     policy_comparison,
+    related_work,
 )
 from repro.sim.units import MS
 
@@ -157,3 +161,45 @@ class TestAblations:
         points = ablations.sweep_rht(values_rps=(5_000, 500_000), settings=TINY)
         low, high = sorted(points, key=lambda p: p.value)
         assert low.it_high_posts >= high.it_high_posts
+
+
+class TestSelfWiredStars:
+    """The Section 7/8 experiments that build their own server class into
+    the standard star.  Each row is pinned exactly: these runs share the
+    station builder with the cluster, so any change in wiring, start
+    order or window bookkeeping shows up as a changed digit."""
+
+    def test_dynamics_spike_row(self):
+        row = dynamics.run_pattern(
+            SpikePattern(10_000, 50_000, 25 * MS, 8 * MS),
+            "ncap.cons",
+            app="apache",
+            settings=TINY,
+        )
+        assert row == dynamics.DynamicsRow(
+            policy="ncap.cons",
+            p95_ms=3.2838401999999998,
+            energy_j=0.9391644092638018,
+            meets_sla=True,
+        )
+
+    def test_percore_row(self):
+        row = percore.run_percore("memcached", 40_000, settings=TINY)
+        assert row == percore.VariantResult(
+            variant="ncap.percore",
+            p95_ms=1.2550638999999997,
+            p99_ms=1.5040645400000001,
+            energy_j=1.1431213017271664,
+            meets_sla=True,
+            wake_posts=34,
+        )
+
+    def test_adrenaline_row(self):
+        row = related_work.run_adrenaline("memcached", 40_000, settings=TINY)
+        assert row == related_work.BaselineRow(
+            system="adrenaline",
+            p95_ms=2.8884179999999997,
+            p99_ms=3.11810538,
+            energy_j=0.8105073679935818,
+            meets_sla=True,
+        )
