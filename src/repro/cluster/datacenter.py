@@ -32,16 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.apps.client import OpenLoopClient
 from repro.apps.workload import generate_load_shares
 from repro.cluster.frontend import FrontendConfig
-from repro.cluster.node import ServerNode
 from repro.cluster.policies import PolicyConfig
+from repro.cluster.simulation import check_run_window
 from repro.cpu.energy import EnergyReport
 from repro.harness.record import ResultRecord
 from repro.metrics.latency import LatencyStats
-from repro.net.switch import Switch
-from repro.sim.kernel import Simulator
 from repro.sim.units import MS
 
 #: The classic four-node imbalance shape, kept as the default so existing
@@ -76,6 +73,7 @@ class DatacenterConfig:
     frontend: Optional[FrontendConfig] = None
 
     def __post_init__(self) -> None:
+        check_run_window(self.warmup_ns, self.measure_ns, self.drain_ns)
         if self.n_servers < 1:
             raise ValueError("n_servers must be at least 1")
         shares = self.load_shares
@@ -164,35 +162,6 @@ class DatacenterResult:
         if slowest <= 0:
             return 1.0
         return sum(s.wall_s for s in self.shards) / slowest
-
-
-class DatacenterCluster:
-    """N servers, each with its own client pool, behind one switch.
-
-    Retained as the in-process view over a (serially executed) sharded
-    run: ``.sim`` / ``.switch`` / ``.servers`` / ``.clients`` expose the
-    built topology for tests and interactive use.  With ``n_shards > 1``
-    the per-shard topologies are concatenated (``.switch`` is shard 0's).
-    """
-
-    def __init__(self, config: DatacenterConfig):
-        from repro.cluster.sharding import ShardedDatacenterRun
-
-        self.config = config
-        self._coordinator = ShardedDatacenterRun(config, jobs=1)
-        shards = self._coordinator.inline_shards()
-        self.sim: Simulator = shards[0].sim
-        self.switch: Switch = shards[0].switch
-        self.rng = shards[0].rng
-        self.servers: List[ServerNode] = [
-            server for shard in shards for server in shard.servers
-        ]
-        self.clients: Dict[str, List[OpenLoopClient]] = {}
-        for shard in shards:
-            self.clients.update(shard.clients)
-
-    def run(self) -> DatacenterResult:
-        return self._coordinator.execute()
 
 
 def run_datacenter(

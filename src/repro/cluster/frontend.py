@@ -316,6 +316,9 @@ class FrontendPort:
     same windowed accounting as :class:`~repro.apps.client.OpenLoopClient`.
     """
 
+    #: Every reply's RTT is kept (the client's ``retain_rtts``, fixed on).
+    retain_rtts = True
+
     def __init__(self, sim: Simulator, name: str):
         self._sim = sim
         self.name = name

@@ -192,6 +192,9 @@ class ServerNode:
 
     # -- introspection ----------------------------------------------------------------
 
+    def energy_report(self):
+        return self.package.energy_report()
+
     @property
     def engine(self):
         """The active DecisionEngine, if any (hw or sw)."""

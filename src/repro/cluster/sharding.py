@@ -45,12 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.apps.client import (
-    OpenLoopClient,
-    http_request_factory,
-    memcached_request_factory,
-)
-from repro.analysis.energy import EnergyAttribution, attribution_between
+from repro.apps.client import OpenLoopClient
 from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
 from repro.cluster.datacenter import (
     DatacenterConfig,
@@ -60,15 +55,18 @@ from repro.cluster.datacenter import (
 )
 from repro.cluster.frontend import Dispatch, FrontendPlanner, FrontendPort
 from repro.cluster.node import ServerNode
-from repro.cluster.recording import build_server_recorder
-from repro.cpu.energy import EnergyReport
+from repro.cluster.simulation import (
+    ServerMeasure,
+    Station,
+    arm_window,
+    client_pool,
+)
 from repro.harness.hashing import config_hash
 from repro.harness.record import ResultRecord
 from repro.harness.runner import resolve_jobs
-from repro.metrics.energy import average_power_w, energy_delta
+from repro.metrics.energy import average_power_w
 from repro.metrics.latency import LatencyStats
 from repro.net.switch import Switch
-from repro.oskernel.cpuidle import IdleAccounting, build_idle_accounting
 from repro.profiling.fleet import FleetProfile, WindowSample
 from repro.profiling.profiler import SimProfiler
 from repro.sim.kernel import Simulator
@@ -76,7 +74,6 @@ from repro.sim.rng import RngRegistry
 from repro.telemetry.monitor import RunMonitor, resolve_monitor
 from repro.telemetry.recorder import (
     RecorderConfig,
-    TimeseriesBundle,
     merge_timeseries_bundles,
     resolve_recorder_config,
 )
@@ -131,29 +128,6 @@ def conservative_window_ns(config: DatacenterConfig) -> int:
 
 
 @dataclass
-class ServerMeasure:
-    """Raw per-server measurements, picklable across the worker boundary."""
-
-    index: int
-    name: str
-    policy_name: str
-    rtts: List[int]
-    sent: int
-    responses: int
-    energy: EnergyReport
-    utilization: float
-    cstate_entries: Dict[str, int]
-    ncap_stats: Dict[str, int]
-    counters: Dict[str, float]
-    #: Serialized per-server recorder bundle, when this server was recorded.
-    timeseries: Optional[Dict[str, object]] = None
-    #: Serialized per-server :class:`~repro.analysis.energy.EnergyAttribution`
-    #: (energy decomposition + governor-miss grades over the measurement
-    #: window), when the run was built with ``energy_attribution=True``.
-    energy_attribution: Optional[Dict[str, object]] = None
-
-
-@dataclass
 class ShardResult:
     """Everything one shard reports after its final window."""
 
@@ -171,8 +145,10 @@ class ShardRun:
     """One shard: a simulator owning a slice of the fleet's servers.
 
     The build replicates the classic single-process datacenter topology
-    for exactly the servers in ``server_indices`` (global names are
-    kept: shard placement is invisible to the simulated system).
+    for exactly the servers in ``server_indices``: one
+    :class:`~repro.cluster.simulation.Station` per server on a shard-local
+    switch (global names are kept: shard placement is invisible to the
+    simulated system).
     """
 
     def __init__(
@@ -190,16 +166,15 @@ class ShardRun:
         self.config = config
         self.shard_index = shard_index
         self.server_indices = list(server_indices)
+        self.window = (config.warmup_ns, config.warmup_ns + config.measure_ns)
         self.sim = Simulator()
         self.profiler = profiler
         if profiler is not None:
             self.sim.set_profiler(profiler)
         self.rng = RngRegistry(config.seed)
         self.switch = Switch(self.sim)
-        self.servers: List[ServerNode] = []
-        self.clients: Dict[str, List[OpenLoopClient]] = {}
+        self.stations: List[Station] = []
         self.frontend_ports: Dict[int, FrontendPort] = {}
-        self.recorders: Dict[str, object] = {}
         self.wall_s = 0.0
         #: Wall/event deltas of the most recent ``advance`` window (the
         #: coordinator's window profiler and monitor read these).
@@ -208,106 +183,54 @@ class ShardRun:
         self.tracer: Optional[RequestTraceCollector] = None
         if trace_sample_every is not None and config.frontend is not None:
             self.tracer = RequestTraceCollector(trace_sample_every)
-        self._accountings: Dict[str, IdleAccounting] = {}
-        self._accounting_snapshots: Dict[str, Dict[str, object]] = {}
 
         shares = config.resolved_shares()
         burst_size = default_burst_size(config.app)
         for i in self.server_indices:
-            server_name = f"server{i}"
             server = ServerNode(
-                self.sim, server_name, config.policy, config.app, self.rng
+                self.sim, f"server{i}", config.policy, config.app, self.rng
             )
-            self.switch.connect(server)
-            self.servers.append(server)
             if self.tracer is not None:
                 self.tracer.attach_server(i, server)
-            if energy_attribution:
-                # Per-server accounting is placement-independent (it only
-                # reads the server's own meters/governor), so serial,
-                # sharded, and pooled runs produce identical payloads.
-                accounting = build_idle_accounting(
-                    server.package.cstates,
-                    server.cpuidle.governor
-                    if server.cpuidle is not None
-                    else None,
-                    telemetry=server.telemetry,
-                )
-                accounting.attach(server.package.cores)
-                self._accountings[server.name] = accounting
-
+            clients: List[OpenLoopClient] = []
+            sources = None
             if config.frontend is not None:
                 port = FrontendPort(self.sim, f"frontend{i}")
-                self.switch.connect(port)
                 self.frontend_ports[i] = port
                 if self.tracer is not None:
                     self.tracer.attach_port(i, port)
+                sources = [port]
             else:
                 rps = config.total_rps * shares[i]
-                period = burst_period_ns(
-                    rps, config.clients_per_server, burst_size
+                clients = client_pool(
+                    self.sim, self.rng, config.app, server.name,
+                    [f"client{i}_{j}" for j in range(config.clients_per_server)],
+                    burst_size=burst_size,
+                    burst_period_ns=burst_period_ns(
+                        rps, config.clients_per_server, burst_size
+                    ),
+                    jitter_fraction=0.30,
                 )
-                pool: List[OpenLoopClient] = []
-                for j in range(config.clients_per_server):
-                    client_name = f"client{i}_{j}"
-                    if config.app == "apache":
-                        factory = http_request_factory(client_name, server_name)
-                    else:
-                        factory = memcached_request_factory(
-                            client_name, server_name,
-                            rng=self.rng.stream(f"{client_name}.keys"),
-                        )
-                    client = OpenLoopClient(
-                        self.sim, client_name, factory,
-                        burst_size=burst_size, burst_period_ns=period,
-                        jitter_rng=self.rng.stream(f"{client_name}.jitter"),
-                        jitter_fraction=0.30,
-                    )
-                    self.switch.connect(client)
-                    pool.append(client)
-                self.clients[server_name] = pool
-
-            if i in record_indices:
-                self.recorders[server_name] = build_server_recorder(
-                    self.sim, server, recorder_config
+            # Per-server observers are placement-independent (they read
+            # only the server's own meters/governor/registry), so serial,
+            # sharded, and pooled runs produce identical payloads.
+            self.stations.append(
+                Station(
+                    self.sim, self.switch, server, clients, sources,
+                    recorder_config=(
+                        recorder_config if i in record_indices else None
+                    ),
+                    energy_attribution=energy_attribution,
                 )
-
-        self._snapshots: Dict[str, EnergyReport] = {}
-        self._busy_marks: Dict[str, List[int]] = {}
+            )
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Start servers/clients/recorders and arm the measurement hooks."""
-        config = self.config
-        for server in self.servers:
-            server.start()
-        for pool in self.clients.values():
-            for client in pool:
-                client.start()
-        for recorder in self.recorders.values():
-            recorder.start()
-        window_start = config.warmup_ns
-        window_end = config.warmup_ns + config.measure_ns
-        self.sim.schedule_at(window_start, self._snap, "a")
-        self.sim.schedule_at(window_end, self._snap, "b")
-        for pool in self.clients.values():
-            for client in pool:
-                self.sim.schedule_at(window_end, client.stop)
-
-    def _snap(self, tag: str) -> None:
-        for server in self.servers:
-            self._snapshots[f"{server.name}.{tag}"] = (
-                server.package.energy_report()
-            )
-            self._busy_marks[f"{server.name}.{tag}"] = (
-                server.package.busy_ns_per_core()
-            )
-            accounting = self._accountings.get(server.name)
-            if accounting is not None:
-                self._accounting_snapshots[f"{server.name}.{tag}"] = (
-                    accounting.snapshot()
-                )
+        """Start every station and arm the measurement window."""
+        for station in self.stations:
+            station.start()
+        arm_window(self.sim, self.stations, self.window)
 
     def advance(
         self,
@@ -343,74 +266,13 @@ class ShardRun:
 
     def collect(self) -> ShardResult:
         """Per-server measurements after the final window."""
-        config = self.config
-        window_start = config.warmup_ns
-        window_end = config.warmup_ns + config.measure_ns
-        measures: List[ServerMeasure] = []
-        for i, server in zip(self.server_indices, self.servers):
-            if config.frontend is not None:
-                sources = [self.frontend_ports[i]]
-            else:
-                sources = self.clients[server.name]
-            rtts: List[int] = []
-            sent = 0
-            for source in sources:
-                rtts.extend(source.rtts_in_window(window_start, window_end))
-                sent += source.sent_in_window(window_start, window_end)
-            energy = energy_delta(
-                self._snapshots[f"{server.name}.a"],
-                self._snapshots[f"{server.name}.b"],
-            )
-            busy_a = self._busy_marks[f"{server.name}.a"]
-            busy_b = self._busy_marks[f"{server.name}.b"]
-            utilization = sum(
-                b - a for a, b in zip(busy_a, busy_b)
-            ) / (len(busy_a) * config.measure_ns)
-            ncap_stats: Dict[str, int] = {}
-            engine = server.engine
-            if engine is not None:
-                ncap_stats = {
-                    "it_high_posts": engine.it_high_posts,
-                    "it_low_posts": engine.it_low_posts,
-                    "immediate_rx_posts": engine.immediate_rx_posts,
-                }
-            cstate_entries: Dict[str, int] = {}
-            for core in server.package.cores:
-                for state, count in core.cstate_entries.items():
-                    cstate_entries[state] = cstate_entries.get(state, 0) + count
-            recorder = self.recorders.get(server.name)
-            timeseries = None
-            if recorder is not None:
-                recorder.stop()
-                timeseries = recorder.bundle().to_json_dict()
-            energy_attribution = None
-            if server.name in self._accountings:
-                energy_attribution = attribution_between(
-                    self._accounting_snapshots[f"{server.name}.a"],
-                    self._accounting_snapshots[f"{server.name}.b"],
-                    energy,
-                ).to_json_dict()
-            measures.append(
-                ServerMeasure(
-                    index=i,
-                    name=server.name,
-                    policy_name=server.policy.name,
-                    rtts=rtts,
-                    sent=sent,
-                    responses=len(rtts),
-                    energy=energy,
-                    utilization=utilization,
-                    cstate_entries=cstate_entries,
-                    ncap_stats=ncap_stats,
-                    counters=server.telemetry.stats.snapshot(),
-                    timeseries=timeseries,
-                    energy_attribution=energy_attribution,
-                )
-            )
         return ShardResult(
             shard_index=self.shard_index,
             server_indices=list(self.server_indices),
-            measures=measures,
+            measures=[
+                station.measure(self.window, i)
+                for i, station in zip(self.server_indices, self.stations)
+            ],
             events=self.sim.events_executed,
             wall_s=self.wall_s,
             profile=(
@@ -894,11 +756,7 @@ def build_fleet_record(
             cstate_entries[key] = cstate_entries.get(key, 0) + value
         for key, value in m.ncap_stats.items():
             ncap_stats[key] = ncap_stats.get(key, 0) + value
-    bundles = {
-        m.name: TimeseriesBundle.from_json_dict(m.timeseries)
-        for m in measures
-        if m.timeseries is not None
-    }
+    bundles = {m.name: m.timeseries for m in measures if m.timeseries is not None}
     timeseries: Dict[str, object] = {}
     if bundles:
         timeseries = merge_timeseries_bundles(bundles).to_json_dict()
@@ -907,9 +765,7 @@ def build_fleet_record(
     # merged payload is byte-identical across shard counts/pool sizes.
     energy_attribution: Dict[str, object] = {}
     attributions = [
-        EnergyAttribution.from_json_dict(m.energy_attribution)
-        for m in measures
-        if m.energy_attribution is not None
+        m.energy_attribution for m in measures if m.energy_attribution is not None
     ]
     if attributions:
         merged_attribution = attributions[0]
@@ -951,7 +807,6 @@ def build_fleet_record(
 
 __all__ = [
     "MAX_RECORDED_SERVERS",
-    "ServerMeasure",
     "ShardResult",
     "ShardRun",
     "ShardedDatacenterRun",

@@ -9,12 +9,9 @@ themselves import the harness.  ``repro.experiments.common`` re-exports
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
+from repro.cluster.simulation import ExperimentConfig, check_run_window
 from repro.sim.units import MS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.simulation import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -30,6 +27,9 @@ class RunSettings:
     drain_ns: int
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        check_run_window(self.warmup_ns, self.measure_ns, self.drain_ns)
+
     @classmethod
     def quick(cls, seed: int = 1) -> "RunSettings":
         return cls(warmup_ns=20 * MS, measure_ns=150 * MS, drain_ns=80 * MS, seed=seed)
@@ -42,7 +42,7 @@ class RunSettings:
     def full(cls, seed: int = 1) -> "RunSettings":
         return cls(warmup_ns=40 * MS, measure_ns=600 * MS, drain_ns=150 * MS, seed=seed)
 
-    def apply_to(self, config: "ExperimentConfig") -> "ExperimentConfig":
+    def apply_to(self, config: ExperimentConfig) -> ExperimentConfig:
         """A copy of ``config`` with this preset's windows and seed.
 
         The inverse convenience of ``ExperimentConfig.from_settings(...)``

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.cluster.datacenter import (
-    DatacenterCluster,
-    DatacenterConfig,
-    run_datacenter,
-)
+from repro.cluster.datacenter import DatacenterConfig, run_datacenter
+from repro.cluster.sharding import ShardedDatacenterRun
 from repro.sim.units import MS
 
 
@@ -39,15 +36,16 @@ class TestValidation:
 
 class TestTopology:
     def test_all_nodes_routable(self):
-        cluster = DatacenterCluster(tiny_config())
+        (shard,) = ShardedDatacenterRun(tiny_config(), jobs=1).inline_shards()
         expected = {"server0", "server1", "client0_0", "client0_1",
                     "client1_0", "client1_1"}
-        assert set(cluster.switch.known_destinations) == expected
+        assert set(shard.switch.known_destinations) == expected
 
     def test_load_split_by_share(self):
-        cluster = DatacenterCluster(tiny_config())
-        p0 = cluster.clients["server0"][0].burst_period_ns
-        p1 = cluster.clients["server1"][0].burst_period_ns
+        (shard,) = ShardedDatacenterRun(tiny_config(), jobs=1).inline_shards()
+        s0, s1 = shard.stations
+        p0 = s0.clients[0].burst_period_ns
+        p1 = s1.clients[0].burst_period_ns
         # 70/30 split: server1's clients burst ~2.33x less often.
         assert p1 / p0 == pytest.approx(7 / 3, rel=0.01)
 
@@ -66,13 +64,11 @@ class TestRun:
 
     def test_servers_isolated(self):
         # Traffic for one server never shows up at the other.
-        cluster = DatacenterCluster(tiny_config())
-        cluster.run()
-        s0, s1 = cluster.servers
-        sent0 = sum(c.requests_sent for c in cluster.clients["server0"])
-        sent1 = sum(c.requests_sent for c in cluster.clients["server1"])
-        assert abs(s0.app.requests_received - sent0) < 30
-        assert abs(s1.app.requests_received - sent1) < 30
+        run = ShardedDatacenterRun(tiny_config(), jobs=1)
+        run.execute()
+        for station in run.inline_shards()[0].stations:
+            sent = sum(c.requests_sent for c in station.clients)
+            assert abs(station.server.app.requests_received - sent) < 30
 
     def test_ncap_policy_runs_fleetwide(self):
         result = run_datacenter(tiny_config(policy="ncap.cons"))

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cluster.datacenter import DatacenterConfig
 from repro.cluster.simulation import Cluster, ExperimentConfig, run_experiment
+from repro.harness.settings import RunSettings
 from repro.sim.units import MS
 from tests.probe_log import ProbeLog
 
@@ -33,6 +35,35 @@ class TestClusterBuild:
         assert Cluster(quick_config(app="apache")).burst_size == 200
         assert Cluster(quick_config(app="memcached")).burst_size == 75
         assert Cluster(quick_config(burst_size=42)).burst_size == 42
+
+
+WINDOWED = {
+    "experiment": ExperimentConfig,
+    "datacenter": DatacenterConfig,
+    "settings": lambda **window: RunSettings(
+        **{"warmup_ns": MS, "measure_ns": 5 * MS, "drain_ns": MS, **window}
+    ),
+}
+
+
+class TestRunWindow:
+    @pytest.mark.parametrize("kind", sorted(WINDOWED))
+    @pytest.mark.parametrize(
+        "field,value",
+        [("warmup_ns", -5 * MS), ("measure_ns", 0), ("measure_ns", -MS), ("drain_ns", -1)],
+    )
+    def test_bad_window_rejected_naming_the_field(self, kind, field, value):
+        # Rejected on construction, before any simulator is built.
+        with pytest.raises(ValueError, match=field):
+            WINDOWED[kind](**{field: value})
+
+    @pytest.mark.parametrize("kind", sorted(WINDOWED))
+    def test_zero_warmup_and_drain_are_legal(self, kind):
+        WINDOWED[kind](warmup_ns=0, drain_ns=0)
+
+    def test_zero_warmup_and_drain_run(self):
+        result = run_experiment(quick_config(warmup_ns=0, drain_ns=0))
+        assert result.requests_sent > 0
 
 
 class TestRun:

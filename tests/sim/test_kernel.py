@@ -1,7 +1,7 @@
 """Tests for the discrete-event kernel.
 
 Most behavior is contractual and must hold for both the timing-wheel
-``Simulator`` and the retained ``HeapScheduler`` reference — those tests
+``Simulator`` and the ``HeapScheduler`` reference — those tests
 are parametrized over the ``sim_cls`` fixture.  Cancellation *accounting*
 (eager unlink vs lazy tombstone) is implementation-specific and pinned in
 the per-kernel classes at the bottom.
@@ -9,7 +9,8 @@ the per-kernel classes at the bottom.
 
 import pytest
 
-from repro.sim import HeapScheduler, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
+from tests.sim.heap_reference import HeapScheduler
 
 
 @pytest.fixture(params=[Simulator, HeapScheduler], ids=["wheel", "heap"])

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import HeapScheduler, Simulator
+from repro.sim import Simulator
+from tests.sim.heap_reference import HeapScheduler
 
 KERNELS = [Simulator, HeapScheduler]
 kernel_param = pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Differential parity: timing-wheel ``Simulator`` vs retained ``HeapScheduler``.
+"""Differential parity: timing-wheel ``Simulator`` vs the ``HeapScheduler`` reference.
 
 The wheel rewrite is only safe if it is *observationally identical* to the
 binary heap it replaced: same dispatch order, same simulated clock, same
@@ -11,11 +11,15 @@ Three layers:
 - scripted synthetic workloads exercising every scheduling entrypoint
   (``schedule``/``schedule_at``/``call_now``/``schedule_many``/
   ``schedule_batch``/``reschedule``/``cancel``) → identical fired traces;
-- the micro-bench scenarios (``event_kernel``/``cancel_churn``/...) via
-  their ``sim_cls`` knob → identical event counts and final sim time;
+- the micro-bench scenarios (``event_kernel``/``cancel_churn``/...) →
+  identical event counts and final sim time;
 - full cluster experiments (headline- and fig4-style configs, plus a
-  cancellation-heavy moderation config) via ``Cluster(sim_factory=...)``
-  → byte-identical ``ResultRecord`` JSON and hashes.
+  cancellation-heavy moderation config) → byte-identical ``ResultRecord``
+  JSON and hashes.
+
+The last two run on the heap by swapping the ``Simulator`` name in the
+module that builds the simulator (``monkeypatch.setattr``), so the
+product code carries no scheduler knob.
 """
 
 import hashlib
@@ -23,6 +27,8 @@ import json
 
 import pytest
 
+import repro.cluster.simulation
+import repro.harness.suites
 from repro.apps.client import reset_request_ids
 from repro.cluster.simulation import Cluster, ExperimentConfig
 from repro.harness.hashing import config_hash
@@ -33,8 +39,9 @@ from repro.harness.suites import (
     chained_timers,
     event_kernel,
 )
-from repro.sim.kernel import HeapScheduler, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.units import MS
+from tests.sim.heap_reference import HeapScheduler
 
 KERNELS = (Simulator, HeapScheduler)
 
@@ -139,7 +146,7 @@ class TestScriptedParity:
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: micro-bench scenarios via their sim_cls knob
+# Layer 2: micro-bench scenarios, rerun on the heap
 # ---------------------------------------------------------------------------
 
 
@@ -148,9 +155,10 @@ SCENARIOS = [event_kernel, cancel_churn, chained_timers, burst_fanout]
 
 class TestScenarioParity:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
-    def test_events_and_simtime_identical(self, scenario):
-        wheel = scenario(None, sim_cls=Simulator)
-        heap = scenario(None, sim_cls=HeapScheduler)
+    def test_events_and_simtime_identical(self, scenario, monkeypatch):
+        wheel = scenario(None)
+        monkeypatch.setattr(repro.harness.suites, "Simulator", HeapScheduler)
+        heap = scenario(None)
         assert wheel.events == heap.events
         assert wheel.sim_ns == heap.sim_ns
         # Cancellation *accounting* differs by design (the wheel unlinks
@@ -166,9 +174,9 @@ class TestScenarioParity:
 # ---------------------------------------------------------------------------
 
 
-def _record_json(config, sim_factory):
+def _record_json(config):
     reset_request_ids()
-    result = Cluster(config, sim_factory=sim_factory).run()
+    result = Cluster(config).run()
     record = ResultRecord.from_result(result, config_hash(config), config.seed)
     return json.dumps(record.to_json_dict(), sort_keys=True)
 
@@ -197,9 +205,10 @@ def _parity_configs():
 
 class TestExperimentParity:
     @pytest.mark.parametrize("config", _parity_configs())
-    def test_result_records_bit_identical(self, config):
-        wheel = _record_json(config, None)
-        heap = _record_json(config, HeapScheduler)
+    def test_result_records_bit_identical(self, config, monkeypatch):
+        wheel = _record_json(config)
+        monkeypatch.setattr(repro.cluster.simulation, "Simulator", HeapScheduler)
+        heap = _record_json(config)
         assert wheel == heap
         assert (
             hashlib.sha256(wheel.encode()).hexdigest()
@@ -211,4 +220,4 @@ class TestExperimentParity:
             app="apache", policy="perf", target_rps=24_000.0,
             warmup_ns=5 * MS, measure_ns=40 * MS, drain_ns=30 * MS, seed=2,
         )
-        assert _record_json(config, None) == _record_json(config, None)
+        assert _record_json(config) == _record_json(config)
