@@ -1,9 +1,9 @@
 """Profiler overhead bench: the disabled path must stay free.
 
-The self-profiler swaps in an instrumented twin of the dispatch loop
-only when attached; with ``profile=None`` the only addition to
-``Simulator.run`` is one ``is None`` check per *call* (not per event).
-This bench records the two acceptance measurements:
+The self-profiler wraps one simulator's scheduling methods and ``run``
+from outside, only when attached; with ``profile=None`` the kernel's
+one dispatch loop runs with nothing added.  This bench records the two
+acceptance measurements:
 
 - **disabled**: headline wall time (Apache / ncap.cons @ 24K RPS, quick
   settings, no observers) against the pre-profiler baseline measured on
@@ -89,6 +89,6 @@ def test_profiler_overhead(save_report):
     # Quiet-machine target for the disabled path is <= 1.02; the CI
     # bound is generous to tolerate shared runners.
     assert disabled_ratio < 1.5
-    # The instrumented loop adds one perf_counter read + dict upkeep
-    # per event; keep it cheap enough to leave on during sweeps.
+    # Each handler's trampoline adds one perf_counter read + dict
+    # upkeep per event; keep it cheap enough to leave on during sweeps.
     assert enabled_ratio < 2.0

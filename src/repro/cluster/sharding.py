@@ -159,6 +159,7 @@ class ShardRun:
         *,
         record_indices: Sequence[int] = (),
         recorder_config: Optional[RecorderConfig] = None,
+        profile: bool = False,
         profiler: Optional[SimProfiler] = None,
         trace_sample_every: Optional[int] = None,
         energy_attribution: bool = False,
@@ -168,9 +169,13 @@ class ShardRun:
         self.server_indices = list(server_indices)
         self.window = (config.warmup_ns, config.warmup_ns + config.measure_ns)
         self.sim = Simulator()
-        self.profiler = profiler
-        if profiler is not None:
-            self.sim.set_profiler(profiler)
+        #: The shard's own profiler (``profile=True``), reported in
+        #: :attr:`ShardResult.profile`.  A caller's ``profiler`` spans
+        #: every shard and is read by the caller, so it is only attached.
+        self.profiler = SimProfiler() if profile else None
+        for attached in (self.profiler, profiler):
+            if attached is not None:
+                attached.attach(self.sim)
         self.rng = RngRegistry(config.seed)
         self.switch = Switch(self.sim)
         self.stations: List[Station] = []
@@ -302,18 +307,14 @@ class _ShardHost:
     ):
         self.shards: Dict[int, ShardRun] = {}
         for shard_index in sorted(assignments):
-            shard_profiler: Optional[SimProfiler] = None
-            if profiler is not None and shard_index == min(assignments):
-                shard_profiler = profiler
-            elif profile:
-                shard_profiler = SimProfiler()
             self.shards[shard_index] = ShardRun(
                 config,
                 shard_index,
                 assignments[shard_index],
                 record_indices=record_indices,
                 recorder_config=recorder_config,
-                profiler=shard_profiler,
+                profile=profile,
+                profiler=profiler,
                 trace_sample_every=trace_sample_every,
                 energy_attribution=energy_attribution,
             )

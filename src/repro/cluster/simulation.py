@@ -425,7 +425,7 @@ class Cluster:
             (SimProfiler() if profile is True else profile) or None
         )
         if self.profiler is not None:
-            self.sim.set_profiler(self.profiler)
+            self.profiler.attach(self.sim)
         self.rng = RngRegistry(config.seed)
         # Sinks attach here (constructor argument, NOT a config field:
         # ExperimentConfig feeds the sweep cache hash, and attaching an
@@ -622,12 +622,13 @@ def run_experiment(
     flight recorder and populates ``result.timeseries``; ``watchpoints``
     arms :class:`~repro.telemetry.triggers.Watchpoint` triggers on it.
     ``profile`` (``True`` or a :class:`~repro.profiling.SimProfiler`)
-    swaps in the instrumented dispatch loop and populates
-    ``result.profile`` with per-handler wall-time attribution and heap
-    health.  ``energy_attribution=True`` attaches the idle-accounting
-    observer and populates ``result.energy_attribution`` with the
-    telescoping energy decomposition and governor-miss grades.  None of
-    these are config fields, so none invalidate cached results.
+    attaches the profiler to the run's simulator before anything is
+    scheduled and populates ``result.profile`` with per-handler
+    wall-time attribution and heap health.  ``energy_attribution=True``
+    attaches the idle-accounting observer and populates
+    ``result.energy_attribution`` with the telescoping energy
+    decomposition and governor-miss grades.  None of these are config
+    fields, so none invalidate cached results.
     """
     return Cluster(
         config,

@@ -59,7 +59,8 @@ class ScenarioStats:
 
 
 #: A scenario callable: builds and runs one workload.  Receives a
-#: :class:`SimProfiler` to attach (or None for a plain timed run).
+#: :class:`SimProfiler` to attach to each simulator it builds, before
+#: anything is scheduled (or None for a plain timed run).
 ScenarioFn = Callable[[Optional[SimProfiler]], ScenarioStats]
 
 
@@ -105,9 +106,10 @@ def run_suite(
 ) -> Dict[str, Any]:
     """Run every scenario and aggregate into a BENCH payload.
 
-    Each scenario runs once profiled (attribution + warmup), then its
-    repeat count of times unprofiled for the wall-clock statistics, so
-    the timing never pays the instrumented loop's overhead.
+    Each scenario runs once with a :class:`SimProfiler` attached
+    (attribution + warmup), then its repeat count of times unprofiled
+    for the wall-clock statistics, so the timing never pays the
+    profiler's trampolines.
     """
     scenarios: Dict[str, Any] = {}
     for scenario in suite.scenarios:

@@ -2,49 +2,57 @@
 
 Each scenario is a plain callable ``fn(profiler) -> ScenarioStats``: it
 builds its own :class:`~repro.sim.kernel.Simulator` (attaching the
-profiler when given one), runs the workload, and reports event/counter
-totals.  The ``micro`` suite covers the simulation substrate (batched
-event kernel, timer re-arm/cancel churn, a single-event timer chain,
-schedule_many burst fan-out, NIC rx path, a short cluster run); the
-``telemetry`` suite times the headline experiment with and without the
-opt-in attribution/audit observers — the macro measurements
-``benchmarks/bench_telemetry_overhead.py`` renders its report from.
+profiler, when given one, before anything is scheduled), runs the
+workload, and reports event/counter totals.  The ``micro`` suite covers
+the simulation substrate (batched event kernel, timer re-arm/cancel
+churn, a single-event timer chain, schedule_many burst fan-out, NIC rx
+path, a short cluster run); the ``telemetry`` suite times the headline
+experiment with and without the opt-in attribution/audit observers —
+the macro measurements ``benchmarks/bench_telemetry_overhead.py``
+renders its report from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.harness.bench import BenchScenario, BenchSuite, ScenarioStats
-from repro.profiling.profiler import SimProfiler
+from repro.profiling.profiler import LOOP_COUNTERS, SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.units import MS
 
 
-def _kernel_stats(sim: Simulator, **counters: float) -> ScenarioStats:
+def _kernel_stats(sims: Sequence[Simulator], **counters: float) -> ScenarioStats:
+    """Events and kernel counters summed over ``sims``."""
     return ScenarioStats(
-        events=sim.events_executed,
-        sim_ns=sim.now,
+        events=sum(sim.events_executed for sim in sims),
+        sim_ns=max(sim.now for sim in sims),
         counters={
-            "cancelled_pops": sim.cancelled_pops,
-            "cancelled_unlinked": sim.cancelled_unlinked,
-            "compactions": sim.compactions,
-            "compacted_events": sim.compacted_events,
+            **{
+                name: sum(getattr(sim, name) for sim in sims)
+                for name in LOOP_COUNTERS
+            },
             **counters,
         },
     )
 
 
-def event_kernel(profiler: Optional[SimProfiler]) -> ScenarioStats:
-    """100K events as chained same-timestamp batches — peak dispatch rate.
-
-    500 rounds of ``schedule_batch(10, 200, tick)``: the shape the
-    vectorized burst clients feed the kernel, and the scenario behind
-    the headline events/s claim.
-    """
+def _simulator(profiler: Optional[SimProfiler]) -> Simulator:
     sim = Simulator()
     if profiler is not None:
-        sim.set_profiler(profiler)
+        profiler.attach(sim)
+    return sim
+
+
+def event_kernel(profiler: Optional[SimProfiler]) -> ScenarioStats:
+    """100K ticks as chained same-timestamp batches — peak dispatch rate.
+
+    500 rounds of ``schedule_batch(10, 200, tick)``, each armed by one
+    ``arm`` event (100,500 events in all): the shape the vectorized
+    burst clients feed the kernel, and the scenario behind the headline
+    events/s claim.
+    """
+    sim = _simulator(profiler)
     count = [0]
     total = 100_000
 
@@ -59,7 +67,7 @@ def event_kernel(profiler: Optional[SimProfiler]) -> ScenarioStats:
     arm()
     sim.run()
     assert count[0] == total
-    return _kernel_stats(sim)
+    return _kernel_stats([sim])
 
 
 def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
@@ -73,9 +81,7 @@ def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
     machinery hot) and tail events (eager unlink).  The counters pin
     all three cancellation paths as well as their cost.
     """
-    sim = Simulator()
-    if profiler is not None:
-        sim.set_profiler(profiler)
+    sim = _simulator(profiler)
     count = [0]
     rounds, batch = 200, 200
     total = rounds * batch
@@ -108,7 +114,7 @@ def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
     arm()
     sim.run()
     assert count[0] == total
-    return _kernel_stats(sim, final_heap=sim.heap_size())
+    return _kernel_stats([sim], final_heap=sim.heap_size())
 
 
 def chained_timers(profiler: Optional[SimProfiler]) -> ScenarioStats:
@@ -118,9 +124,7 @@ def chained_timers(profiler: Optional[SimProfiler]) -> ScenarioStats:
     for any calendar scheduler (no batching to amortize) and the shape
     of the old ``event_kernel`` scenario, kept for continuity.
     """
-    sim = Simulator()
-    if profiler is not None:
-        sim.set_profiler(profiler)
+    sim = _simulator(profiler)
     count = [0]
 
     def tick() -> None:
@@ -131,15 +135,13 @@ def chained_timers(profiler: Optional[SimProfiler]) -> ScenarioStats:
     sim.schedule(0, tick)
     sim.run()
     assert count[0] == 100_000
-    return _kernel_stats(sim)
+    return _kernel_stats([sim])
 
 
 def burst_fanout(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """50 bursts of 2000 arrivals via ``schedule_many`` — the vectorized
     open-loop client's bulk path, timestamps spread inside each burst."""
-    sim = Simulator()
-    if profiler is not None:
-        sim.set_profiler(profiler)
+    sim = _simulator(profiler)
     seen = [0]
 
     def arrival() -> None:
@@ -150,7 +152,7 @@ def burst_fanout(profiler: Optional[SimProfiler]) -> ScenarioStats:
         sim.schedule_many(range(base, base + 2000 * 10, 10), arrival)
     sim.run()
     assert seen[0] == 100_000
-    return _kernel_stats(sim)
+    return _kernel_stats([sim])
 
 
 def nic_rx_path(profiler: Optional[SimProfiler]) -> ScenarioStats:
@@ -159,9 +161,7 @@ def nic_rx_path(profiler: Optional[SimProfiler]) -> ScenarioStats:
     from repro.net import NIC, NICDriver, make_http_request
     from repro.oskernel import IRQController, NetStackCosts
 
-    sim = Simulator()
-    if profiler is not None:
-        sim.set_profiler(profiler)
+    sim = _simulator(profiler)
     package = ProcessorConfig(n_cores=4).build_package(sim)
     irq = IRQController(sim, package)
     nic = NIC(sim)
@@ -174,7 +174,7 @@ def nic_rx_path(profiler: Optional[SimProfiler]) -> ScenarioStats:
         )
     sim.run()
     assert len(delivered) == 2000
-    return _kernel_stats(sim, delivered=len(delivered))
+    return _kernel_stats([sim], delivered=len(delivered))
 
 
 def small_cluster(profiler: Optional[SimProfiler]) -> ScenarioStats:
@@ -193,7 +193,7 @@ def small_cluster(profiler: Optional[SimProfiler]) -> ScenarioStats:
     result = cluster.run()
     assert result.responses_received > 0
     return _kernel_stats(
-        cluster.sim,
+        [cluster.sim],
         requests_sent=result.requests_sent,
         responses_received=result.responses_received,
     )
@@ -222,7 +222,7 @@ def _headline(
     result = cluster.run()
     assert result.responses_received > 0
     return _kernel_stats(
-        cluster.sim,
+        [cluster.sim],
         requests_sent=result.requests_sent,
         responses_received=result.responses_received,
     )
@@ -248,10 +248,8 @@ def headline_energy(profiler: Optional[SimProfiler]) -> ScenarioStats:
 
 
 def _datacenter_stats(run, result) -> ScenarioStats:
-    shards = run.inline_shards()
     return _kernel_stats(
-        shards[0].sim,
-        total_events=sum(s.sim.events_executed for s in shards),
+        [shard.sim for shard in run.inline_shards()],
         responses_received=result.record.responses_received,
         requests_sent=result.record.requests_sent,
     )
@@ -321,7 +319,7 @@ MICRO_SUITE = BenchSuite(
     "fan-out, NIC rx path, short cluster run)",
     scenarios=(
         BenchScenario(
-            "event_kernel", event_kernel, "100K events in 500 batches"
+            "event_kernel", event_kernel, "100K ticks in 500 batches"
         ),
         BenchScenario(
             "cancel_churn", cancel_churn,

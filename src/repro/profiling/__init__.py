@@ -1,12 +1,12 @@
 """Simulator self-profiling: where does *wall-clock* time go?
 
 The rest of the repo observes the simulated system (telemetry, critical
-paths, flight recorder); this package observes the simulator.  A
-:class:`SimProfiler` attached via
-:meth:`repro.sim.kernel.Simulator.set_profiler` swaps in an instrumented
-dispatch loop that attributes wall time and event counts to each handler
-(keyed by callable qualname and owner subsystem) and tracks event-heap
-health — zero overhead when not attached.
+paths, flight recorder); this package observes the simulator.
+:meth:`SimProfiler.attach` wraps one simulator's scheduling methods from
+outside, so every handler attributes its wall time and event count
+(keyed by callable qualname and owner subsystem), and reads the
+simulator's queue-health counters — a simulator with no profiler
+attached runs the kernel's one dispatch loop untouched.
 
 Exporters turn a finished :class:`LoopProfile` into a top-N handler
 table, collapsed-stack text for flamegraph tooling, and a wall-clock
@@ -15,7 +15,7 @@ lane for the existing Chrome-trace export.
     from repro.profiling import SimProfiler
 
     profiler = SimProfiler()
-    sim.set_profiler(profiler)
+    profiler.attach(sim)  # before anything is scheduled
     sim.run()
     print(format_top_handlers(profiler.profile()))
 """

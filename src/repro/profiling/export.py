@@ -43,18 +43,6 @@ def format_top_handlers(
         ]
         for h in profile.top(n)
     ]
-    rows.append(
-        [
-            "(kernel)",
-            "cancelled-event pops",
-            profile.cancelled_pops,
-            round(profile.cancelled_wall_ns / 1e6, 3),
-            round(
-                profile.cancelled_wall_ns / max(profile.cancelled_pops, 1)
-            ),
-            f"{100.0 * profile.cancelled_wall_ns / total:.1f}%",
-        ]
-    )
     return format_table(
         ["subsystem", "handler", "calls", "wall (ms)", "ns/call", "share"],
         rows,
@@ -73,9 +61,6 @@ def collapsed_stacks(profile: LoopProfile) -> str:
     for h in profile.handlers:
         weight = max(1, round(h.wall_ns / 1000))
         lines.append(f"{h.subsystem};{h.qualname} {weight}")
-    if profile.cancelled_pops:
-        weight = max(1, round(profile.cancelled_wall_ns / 1000))
-        lines.append(f"sim;Simulator.run;cancelled-pops {weight}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

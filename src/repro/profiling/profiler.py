@@ -1,14 +1,15 @@
 """The event-loop profiler: per-handler wall-time attribution.
 
-A :class:`SimProfiler` is attached to a
-:class:`~repro.sim.kernel.Simulator` with ``sim.set_profiler(...)``; the
-kernel then dispatches through its instrumented loop, which charges the
-full wall-clock cost of each iteration (heap pop + dispatch + callback)
-to the handler that fired, so the per-handler totals telescope to the
-measured loop total.  Cancelled-event lazy-deletion pops are charged to
-a dedicated bucket.  Attribution state accumulates across ``run()``
-calls; :meth:`SimProfiler.profile` snapshots it into an immutable,
-picklable :class:`LoopProfile`.
+:meth:`SimProfiler.attach` times one
+:class:`~repro.sim.kernel.Simulator` from outside.  It sets wrappers of
+the simulator's :data:`SCHEDULING` methods and of ``run`` as attributes
+of that one object; the class and its dispatch loop are untouched.
+Each handler is scheduled behind a trampoline that runs it and charges
+it the wall time since the previous charge, so queue bookkeeping and
+cancelled-event pops go to the next handler and the per-handler totals
+telescope to the measured loop total.  Attribution state accumulates
+across ``run()`` calls; :meth:`SimProfiler.profile` snapshots it into an
+immutable, picklable :class:`LoopProfile`.
 
 Handlers are keyed by the callable itself during the run (one dict
 lookup per event) and folded into ``(qualname, subsystem)`` aggregates
@@ -22,10 +23,24 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from time import perf_counter_ns
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import Simulator
 
 #: Bump when the serialized profile payload changes shape.
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
+
+#: The simulator methods that take a handler, wrapped by
+#: :meth:`SimProfiler.attach`.  ``call_now`` and the slow path of
+#: ``reschedule`` go through ``schedule_at``.
+SCHEDULING = ("schedule", "schedule_at", "schedule_many", "schedule_batch")
+
+#: Simulator counters a profile reports as deltas since ``attach``.
+LOOP_COUNTERS = (
+    "cancelled_pops", "cancelled_unlinked", "compactions", "compacted_events",
+)
 
 
 def peak_rss_bytes() -> int:
@@ -84,10 +99,8 @@ class LoopProfile:
 
     #: Per-handler attribution, sorted by descending wall time.
     handlers: List[HandlerStats] = field(default_factory=list)
-    #: Total wall time spent inside the instrumented loop(s).
+    #: Total wall time spent inside the profiled ``run()`` calls.
     loop_wall_ns: int = 0
-    #: Wall time charged to lazy-deletion pops of cancelled events.
-    cancelled_wall_ns: int = 0
     events: int = 0
     sim_ns: int = 0
     max_heap_depth: int = 0
@@ -104,9 +117,9 @@ class LoopProfile:
 
     @property
     def attributed_wall_ns(self) -> int:
-        """Handler + cancelled-pop wall time; should telescope to
-        :attr:`loop_wall_ns` within the loop's own bookkeeping residual."""
-        return sum(h.wall_ns for h in self.handlers) + self.cancelled_wall_ns
+        """Handler wall time; should telescope to :attr:`loop_wall_ns`
+        within the loop's tail after the last handler."""
+        return sum(h.wall_ns for h in self.handlers)
 
     @property
     def events_per_wall_s(self) -> float:
@@ -128,7 +141,6 @@ class LoopProfile:
         return {
             "schema": PROFILE_SCHEMA_VERSION,
             "loop_wall_ns": self.loop_wall_ns,
-            "cancelled_wall_ns": self.cancelled_wall_ns,
             "events": self.events,
             "sim_ns": self.sim_ns,
             "events_per_wall_s": self.events_per_wall_s,
@@ -170,7 +182,6 @@ class LoopProfile:
                 for h in data.get("handlers", [])
             ],
             loop_wall_ns=int(data["loop_wall_ns"]),
-            cancelled_wall_ns=int(data.get("cancelled_wall_ns", 0)),
             events=int(data["events"]),
             sim_ns=int(data["sim_ns"]),
             max_heap_depth=int(data.get("max_heap_depth", 0)),
@@ -185,11 +196,12 @@ class LoopProfile:
 
 
 class SimProfiler:
-    """Accumulates dispatch-loop attribution for one or more ``run()`` calls.
+    """Accumulates handler attribution for one or more simulators.
 
-    The hot-loop-facing fields (``_record``, ``_countdown``, the public
-    counters) are deliberately plain attributes the kernel mutates
-    directly — the instrumented loop must stay tight.
+    One profiler may be attached to several simulators that run one
+    after another (the shards of a serial fleet run): calls, wall time
+    and the loop counters sum over them, and ``sim_ns`` is the largest
+    advance.
     """
 
     def __init__(self, checkpoint_every: int = 50_000, fold_threshold: int = 4096):
@@ -205,51 +217,88 @@ class SimProfiler:
         self._agg: Dict[Tuple[str, str], List[int]] = {}
         self._countdown = checkpoint_every
         self._wall0_ns: Optional[int] = None
-        self._sim_ns0: Optional[int] = None
-        self._counters0: Dict[str, int] = {}
+        #: ``(sim, now, counters)`` at each :meth:`attach`.
+        self._attached: List[Tuple["Simulator", int, Tuple[int, ...]]] = []
         self.loop_wall_ns = 0
-        self.cancelled_wall_ns = 0
         self.events = 0
-        self.cancelled_pops = 0
         self.max_heap_depth = 0
         self.checkpoints: List[Tuple[int, int, int]] = []
-        self._sim_ns = 0
-        self._final_heap_size = 0
-        self._compactions = 0
-        self._compacted_events = 0
-        self._cancelled_unlinked = 0
 
-    # -- kernel-facing hooks --------------------------------------------
+    def attach(self, sim: "Simulator") -> None:
+        """Time every handler ``sim`` is given from now on.
 
-    def _checkpoint(self, sim_now: int) -> None:
-        from time import perf_counter_ns
+        Attach before anything is scheduled: a handler scheduled before
+        this call is not timed.  The wrappers live on ``sim`` alone and
+        are never removed.  An event re-armed with ``reschedule`` already
+        holds the trampoline and is not wrapped twice.
+        """
+        perf = perf_counter_ns
+        record = self._record
+        heap_size = sim.heap_size
+        mark = 0
 
-        wall = perf_counter_ns() - (self._wall0_ns or 0)
-        self.checkpoints.append((wall, sim_now, self.events))
+        def trampoline(fn: Callable[..., Any], *args: Any) -> None:
+            nonlocal mark
+            fn(*args)
+            # Charge everything since the previous charge (or run start).
+            now = perf()
+            elapsed = now - mark
+            mark = now
+            entry = record.get(fn)
+            if entry is None:
+                record[fn] = [1, elapsed]
+                if len(record) >= self.fold_threshold:
+                    self._fold()
+            else:
+                entry[0] += 1
+                entry[1] += elapsed
+            self.events += 1
+            depth = heap_size()
+            if depth > self.max_heap_depth:
+                self.max_heap_depth = depth
+            self._countdown -= 1
+            if self._countdown <= 0:
+                self._countdown = self.checkpoint_every
+                self.checkpoints.append((now - self._wall0_ns, sim.now, self.events))
 
-    def _note_start(self, sim, wall_ns: int) -> None:
-        """Called by the kernel at the start of the first profiled run:
-        baseline the simulator's lifetime counters so the profile reports
-        deltas, not totals that predate the profiler."""
-        self._wall0_ns = wall_ns
-        self._sim_ns0 = sim.now
-        self._counters0 = {
-            "compactions": sim.compactions,
-            "compacted_events": sim.compacted_events,
-            "cancelled_unlinked": getattr(sim, "cancelled_unlinked", 0),
-        }
+        # Every SCHEDULING method takes ``(when, fn, *args)`` except
+        # ``schedule_batch``, which takes ``(delay, count, fn, *args)``.
+        def wrap(method: Callable[..., Any]) -> Callable[..., Any]:
+            def wrapper(when: Any, fn: Callable[..., Any], *args: Any):
+                if fn is trampoline:
+                    return method(when, fn, *args)
+                return method(when, trampoline, fn, *args)
 
-    def _note_run(self, sim) -> None:
-        """Called by the kernel at the end of each profiled ``run()``."""
-        self._sim_ns = sim.now - (self._sim_ns0 or 0)
-        self._final_heap_size = sim.heap_size()
-        self._compactions = sim.compactions - self._counters0.get("compactions", 0)
-        self._compacted_events = (
-            sim.compacted_events - self._counters0.get("compacted_events", 0)
+            return wrapper
+
+        def wrap_batch(method: Callable[..., Any]) -> Callable[..., Any]:
+            def wrapper(delay: int, count: int, fn: Callable[..., Any], *args: Any):
+                if fn is trampoline:
+                    return method(delay, count, fn, *args)
+                return method(delay, count, trampoline, fn, *args)
+
+            return wrapper
+
+        run = sim.run
+
+        def timed_run(until: Optional[int] = None) -> int:
+            nonlocal mark
+            start = perf()
+            if self._wall0_ns is None:
+                self._wall0_ns = start
+            mark = start
+            try:
+                return run(until)
+            finally:
+                self.loop_wall_ns += perf() - start
+
+        for name in SCHEDULING:
+            wrapped = (wrap_batch if name == "schedule_batch" else wrap)(getattr(sim, name))
+            setattr(sim, name, wrapped)
+        sim.run = timed_run
+        self._attached.append(
+            (sim, sim.now, tuple(getattr(sim, c) for c in LOOP_COUNTERS))
         )
-        self._cancelled_unlinked = getattr(
-            sim, "cancelled_unlinked", 0
-        ) - self._counters0.get("cancelled_unlinked", 0)
 
     def _fold(self) -> None:
         """Collapse the per-callable dict into the string-keyed aggregate."""
@@ -281,18 +330,20 @@ class SimProfiler:
             ),
             key=lambda h: (-h.wall_ns, h.key),
         )
+        counters = dict.fromkeys(LOOP_COUNTERS, 0)
+        for sim, _now0, before in self._attached:
+            for name, value in zip(LOOP_COUNTERS, before):
+                counters[name] += getattr(sim, name) - value
         return LoopProfile(
             handlers=handlers,
             loop_wall_ns=self.loop_wall_ns,
-            cancelled_wall_ns=self.cancelled_wall_ns,
             events=self.events,
-            sim_ns=self._sim_ns,
+            sim_ns=max(
+                (sim.now - now0 for sim, now0, _ in self._attached), default=0
+            ),
             max_heap_depth=self.max_heap_depth,
-            final_heap_size=self._final_heap_size,
-            cancelled_pops=self.cancelled_pops,
-            cancelled_unlinked=self._cancelled_unlinked,
-            compactions=self._compactions,
-            compacted_events=self._compacted_events,
+            final_heap_size=sum(sim.heap_size() for sim, _, _ in self._attached),
             peak_rss_bytes=peak_rss_bytes(),
             checkpoints=list(self.checkpoints),
+            **counters,
         )

@@ -36,8 +36,7 @@ Bulk entrypoints (the batch layer):
   per-event :class:`Event` allocation.
 - :meth:`Simulator.schedule_batch` — ``count`` same-timestamp calls as
   one bucket entry with a precomputed handler binding; the dispatch
-  loop does one clock update (and, when profiled, one timer read) for
-  the whole batch.
+  loop does one clock update for the whole batch.
 - :meth:`Simulator.reschedule` — re-arm an event in O(1): a fired or
   tail-resident event is unlinked and its object reused; an interior
   event falls back to tombstone-plus-fresh-event.  Semantically
@@ -51,23 +50,16 @@ simulator counts live tombstones and compacts all tiers in place —
 O(n), order preserving — once they exceed
 :attr:`Simulator.COMPACT_FRACTION` of the queue.
 
-Self-profiling: :meth:`Simulator.set_profiler` swaps the dispatch loop
-for an instrumented twin (:meth:`Simulator._run_profiled`) that
-attributes wall-clock time to each handler — one timer read per single
-event, one per *batch* for batch entries (the whole interval is charged
-to the batch's handler, so attribution still telescopes to the loop
-total).  The uninstrumented loop is untouched — with no profiler
-attached the only cost is one ``is None`` check per ``run()`` call.
+There is one dispatch loop, and it reads no wall clock.  The self-profiler
+(:class:`repro.profiling.SimProfiler`) times handlers from outside: it
+wraps one simulator object's scheduling methods and ``run``, so a
+simulator without one pays nothing for it.
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter_ns
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.profiling.profiler import SimProfiler
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -172,7 +164,6 @@ class Simulator:
         self._size: int = 0
         self._running = False
         self._stopped = False
-        self._profiler: Optional["SimProfiler"] = None
         self.events_executed: int = 0
         #: Cancelled tombstones lazily skipped by the dispatch loop.
         self.cancelled_pops: int = 0
@@ -289,8 +280,8 @@ class Simulator:
 
         Consumes ``count`` sequence numbers (the batch occupies the same
         ordering slots as ``count`` individual ``schedule`` calls) and
-        dispatches with one clock update — and, under the profiler, one
-        timer read — for the whole batch.  Returns ``count``.
+        dispatches with one clock update for the whole batch.  Returns
+        ``count``.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
@@ -517,18 +508,6 @@ class Simulator:
         """Stop the currently running :meth:`run` after the current event."""
         self._stopped = True
 
-    def set_profiler(self, profiler: Optional["SimProfiler"]) -> None:
-        """Attach (or detach, with ``None``) a dispatch-loop profiler.
-
-        Subsequent :meth:`run` calls go through the instrumented loop,
-        which attributes wall time per handler into ``profiler``.
-        """
-        self._profiler = profiler
-
-    @property
-    def profiler(self) -> Optional["SimProfiler"]:
-        return self._profiler
-
     def _requeue(self, time: int, rest: list) -> None:
         """Put an unconsumed bucket remainder back at the front of ``time``.
 
@@ -551,8 +530,6 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if self._profiler is not None:
-            return self._run_profiled(until)
         self._running = True
         self._stopped = False
         wheel = self._wheel
@@ -651,188 +628,6 @@ class Simulator:
         finally:
             self.events_executed = executed
             self._running = False
-        return self._now
-
-    def _run_profiled(self, until: Optional[int] = None) -> int:
-        """Instrumented twin of :meth:`run`.
-
-        Identical event semantics; additionally attributes wall time per
-        handler.  One ``perf_counter_ns()`` reading per single event and
-        one per *batch* entry: each handler is charged the interval from
-        the previous reading to the one taken right after it fires
-        (bucket bookkeeping and the *previous* iteration's accounting
-        included), so the per-handler totals plus the cancelled-pop
-        bucket telescope to the measured loop total.
-        """
-        profiler = self._profiler
-        self._running = True
-        self._stopped = False
-        perf = perf_counter_ns
-        record = profiler._record
-        checkpoint = profiler._checkpoint
-        every = profiler.checkpoint_every
-        countdown = profiler._countdown
-        max_depth = profiler.max_heap_depth
-        cancelled_ns = 0
-        loop_start = perf()
-        if profiler._wall0_ns is None:
-            profiler._note_start(self, loop_start)
-        t_prev = loop_start
-        wheel = self._wheel
-        due = self._due
-        pop_due = heapq.heappop
-        executed = self.events_executed
-        try:
-            while not self._stopped:
-                if not due:
-                    if not self._overflow:
-                        break
-                    self._migrate()
-                    continue
-                time = due[0]
-                bucket = wheel.get(time)
-                if bucket is None:
-                    pop_due(due)
-                    continue
-                if until is not None and time > until:
-                    break
-                pop_due(due)
-                del wheel[time]
-                # Mirror run(): drain leading tombstones (charged to the
-                # cancelled bucket) before the clock moves, so an
-                # all-cancelled bucket never advances ``now``.
-                i = 0
-                n = len(bucket)
-                consumed = 0
-                while i < n:
-                    e = bucket[i]
-                    if e.__class__ is not _EVENT or not e.cancelled:
-                        break
-                    i += 1
-                    consumed += 1
-                    self.cancelled_pops += 1
-                    profiler.cancelled_pops += 1
-                    if self._cancelled_in_heap > 0:
-                        self._cancelled_in_heap -= 1
-                    t_now = perf()
-                    cancelled_ns += t_now - t_prev
-                    t_prev = t_now
-                if i == n:
-                    self._size -= consumed
-                    continue
-                self._now = time
-                try:
-                    while i < n:
-                        e = bucket[i]
-                        cls = e.__class__
-                        if cls is _TUPLE:
-                            i += 1
-                            consumed += 1
-                            executed += 1
-                            fn = e[0]
-                            fn(*e[1])
-                            t_now = perf()
-                            elapsed = t_now - t_prev
-                            t_prev = t_now
-                            entry = record.get(fn)
-                            if entry is None:
-                                record[fn] = [1, elapsed]
-                                if len(record) >= profiler.fold_threshold:
-                                    profiler._fold()
-                            else:
-                                entry[0] += 1
-                                entry[1] += elapsed
-                            profiler.events += 1
-                            countdown -= 1
-                            stopped = self._stopped
-                        elif cls is _Batch:
-                            fn = e.fn
-                            args = e.args
-                            k = e.count
-                            j = 0
-                            try:
-                                while j < k:
-                                    fn(*args)
-                                    j += 1
-                                    if self._stopped:
-                                        break
-                            finally:
-                                consumed += j
-                                executed += j
-                                if j < k:
-                                    e.count = k - j
-                            t_now = perf()
-                            elapsed = t_now - t_prev
-                            t_prev = t_now
-                            entry = record.get(fn)
-                            if entry is None:
-                                record[fn] = [j, elapsed]
-                                if len(record) >= profiler.fold_threshold:
-                                    profiler._fold()
-                            else:
-                                entry[0] += j
-                                entry[1] += elapsed
-                            profiler.events += j
-                            countdown -= j
-                            if j < k:
-                                break
-                            i += 1
-                            stopped = self._stopped
-                        else:
-                            i += 1
-                            if e.cancelled:
-                                consumed += 1
-                                self.cancelled_pops += 1
-                                profiler.cancelled_pops += 1
-                                if self._cancelled_in_heap > 0:
-                                    self._cancelled_in_heap -= 1
-                                t_now = perf()
-                                cancelled_ns += t_now - t_prev
-                                t_prev = t_now
-                                continue
-                            e._queued = False
-                            consumed += 1
-                            executed += 1
-                            fn = e.fn
-                            fn(*e.args)
-                            t_now = perf()
-                            elapsed = t_now - t_prev
-                            t_prev = t_now
-                            entry = record.get(fn)
-                            if entry is None:
-                                record[fn] = [1, elapsed]
-                                if len(record) >= profiler.fold_threshold:
-                                    profiler._fold()
-                            else:
-                                entry[0] += 1
-                                entry[1] += elapsed
-                            profiler.events += 1
-                            countdown -= 1
-                            stopped = self._stopped
-                        depth = self._size - consumed
-                        if depth > max_depth:
-                            max_depth = depth
-                        if countdown <= 0:
-                            checkpoint(self._now)
-                            countdown = every
-                        if stopped:
-                            break
-                finally:
-                    self.events_executed = executed
-                    self._size -= consumed
-                    if i < n:
-                        self._requeue(time, bucket[i:])
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
-        finally:
-            self.events_executed = executed
-            self._running = False
-            loop_wall = perf() - loop_start
-            profiler.loop_wall_ns += loop_wall
-            profiler.cancelled_wall_ns += cancelled_ns
-            profiler.max_heap_depth = max_depth
-            profiler._countdown = countdown
-            profiler._note_run(self)
         return self._now
 
     def peek_next_time(self) -> Optional[int]:

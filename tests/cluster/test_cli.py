@@ -116,7 +116,7 @@ def _fast_suite():
     def scenario(profiler):
         sim = Simulator()
         if profiler is not None:
-            sim.set_profiler(profiler)
+            profiler.attach(sim)
         for i in range(2_000):
             sim.schedule(i, lambda: None)
         sim.run()

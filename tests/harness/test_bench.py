@@ -27,7 +27,7 @@ from repro.sim import Simulator
 def _tiny_scenario(profiler):
     sim = Simulator()
     if profiler is not None:
-        sim.set_profiler(profiler)
+        profiler.attach(sim)
     count = [0]
 
     def tick():
@@ -201,3 +201,29 @@ class TestDeclaredSuites:
             "event_kernel", "cancel_churn", "chained_timers", "burst_fanout",
             "nic_rx_path", "small_cluster",
         ]
+
+    def test_datacenter_sharded_counts_and_profiles_every_shard(self, monkeypatch):
+        from repro.cluster.sharding import ShardedDatacenterRun
+        from repro.harness.suites import datacenter_sharded
+        from repro.profiling import SimProfiler
+
+        runs = []
+        execute = ShardedDatacenterRun.execute
+
+        def capture(self):
+            result = execute(self)
+            runs.append((self, result))
+            return result
+
+        monkeypatch.setattr(ShardedDatacenterRun, "execute", capture)
+        profiler = SimProfiler()
+        stats = datacenter_sharded(profiler)
+        ((run, result),) = runs
+        shards = run.inline_shards()
+        assert len(shards) == 2
+        total = sum(shard.sim.events_executed for shard in shards)
+        assert stats.events == total
+        assert profiler.profile().events == total
+        assert "total_events" not in stats.counters
+        # The caller's profiler spans both shards; no shard reports it.
+        assert [s.profile for s in result.shards] == [{}, {}]

@@ -40,7 +40,6 @@ class TestProfileObserver:
         profiler = SimProfiler()
         cluster = Cluster(config, profile=profiler)
         assert cluster.profiler is profiler
-        assert cluster.sim.profiler is profiler
         result = cluster.run()
         assert result.profile is not None
         assert result.profile.events == profiler.events

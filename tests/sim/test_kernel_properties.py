@@ -1,15 +1,17 @@
 """Property-based tests for the event kernel.
 
 Every ordering property is checked on both the timing-wheel ``Simulator``
-and the ``HeapScheduler`` reference; the differential property at the
-bottom drives randomized op sequences through both kernels at once and
-asserts identical traces.
+and the ``HeapScheduler`` reference; the differential properties at the
+bottom drive randomized op sequences through both kernels, and through
+a ``Simulator`` with and without a ``SimProfiler`` attached, and assert
+identical traces.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.profiling import SimProfiler
 from repro.sim import Simulator
 from tests.sim.heap_reference import HeapScheduler
 
@@ -129,8 +131,10 @@ _OPS = st.lists(
 )
 
 
-def _apply_ops(sim_cls, ops):
+def _apply_ops(sim_cls, ops, profiler=None):
     sim = sim_cls()
+    if profiler is not None:
+        profiler.attach(sim)
     trace = []
     handles = []
 
@@ -162,3 +166,18 @@ def _apply_ops(sim_cls, ops):
 @settings(max_examples=100, deadline=None)
 def test_differential_wheel_matches_heap(ops):
     assert _apply_ops(Simulator, ops) == _apply_ops(HeapScheduler, ops)
+
+
+@given(ops=_OPS)
+@settings(max_examples=300, deadline=None)
+def test_profiled_simulator_matches_plain(ops):
+    # The profiler wraps one simulator's scheduling methods and run():
+    # the same ops must give the same trace, clock and event count, and
+    # every executed event must be charged to exactly one handler call.
+    profiler = SimProfiler()
+    profiled = _apply_ops(Simulator, ops, profiler)
+    assert profiled == _apply_ops(Simulator, ops)
+    executed = profiled[2]
+    profile = profiler.profile()
+    assert profile.events == executed
+    assert sum(h.calls for h in profile.handlers) == executed
