@@ -1,7 +1,7 @@
 """Profiler overhead bench: the disabled path must stay free.
 
 The self-profiler wraps one simulator's scheduling methods and ``run``
-from outside, only when attached; with ``profile=None`` the kernel's
+from outside, only when attached; with ``profile=False`` the kernel's
 one dispatch loop runs with nothing added.  This bench records the two
 acceptance measurements:
 
@@ -40,7 +40,7 @@ def _headline_config():
     )
 
 
-def _timed_run(profile=None):
+def _timed_run(profile=False):
     t0 = time.perf_counter()
     result = run_experiment(_headline_config(), profile=profile)
     elapsed = time.perf_counter() - t0

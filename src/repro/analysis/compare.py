@@ -18,20 +18,19 @@ Records carry percentile summaries, not populations, so confidence
 intervals come from the classic distribution-free order-statistic bound:
 the rank of the empirical ``q``-quantile over ``n`` samples has standard
 error ``sqrt(n * q * (1 - q))``.  :func:`percentile_ci` maps the
-``± z``-rank window through the record's percentile anchors (the exact
-p50/p90/p95/p99/max for stored runs, the streaming-sketch anchors for
-``streaming_latency=`` runs) back to latency values.  A paired delta is
+``± z``-rank window through the record's percentile anchors (its exact
+p50/p90/p95/p99/max) back to latency values.  A paired delta is
 *significant* when it exceeds the root-sum-square of the two runs' CI
 half-widths.
 
 Sketch error bound
 ------------------
-Runs aggregated through the PR 3 :class:`~repro.analysis.sketch.
-StreamingSketch` answer percentiles from bounded centroids.  The
-``q(1-q)`` scale function keeps the centroid straddling quantile ``q``
-below roughly ``4 * n * q * (1 - q) / max_centroids`` samples, so a
-sketch percentile lands within that many ranks of the exact order
-statistic.  :func:`sketch_rank_halfwidth` exposes this documented bound;
+A :class:`~repro.analysis.sketch.StreamingSketch` (the attribution
+tables, ``LatencyStats.from_sketch``) answers percentiles from bounded
+centroids.  The ``q(1-q)`` scale function keeps the centroid straddling
+quantile ``q`` below roughly ``4 * n * q * (1 - q) / max_centroids``
+samples, so a sketch percentile lands within that many ranks of the
+exact order statistic.  :func:`sketch_rank_halfwidth` exposes this documented bound;
 the paired-diff tests hold the sketch-vs-exact agreement to it.
 """
 

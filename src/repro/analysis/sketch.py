@@ -11,10 +11,10 @@ Two estimators, both bounded-memory regardless of stream length:
   count/mean/min/max, and lossless-ish :meth:`StreamingSketch.merge` for
   combining per-worker sketches.
 
-These replace store-all-samples aggregation where a full run's latency
-population would otherwise be held in memory (see
-``Cluster(..., streaming_latency=True)`` and
-:meth:`repro.metrics.latency.LatencyStats.from_sketch`).
+They aggregate populations without holding them in memory: the
+attribution sink's per-component tables
+(:class:`~repro.analysis.attribution.AttributionSink`) and
+:meth:`repro.metrics.latency.LatencyStats.from_sketch`.
 """
 
 from __future__ import annotations

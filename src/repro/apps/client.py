@@ -76,8 +76,6 @@ class OpenLoopClient:
         intra_burst_gap_ns: int = 1_000,
         jitter_rng: Optional[random.Random] = None,
         jitter_fraction: float = 0.0,
-        retain_rtts: bool = True,
-        measure_window: Optional[Tuple[int, int]] = None,
     ):
         if burst_size < 1:
             raise ValueError("burst_size must be at least 1")
@@ -99,19 +97,12 @@ class OpenLoopClient:
         self._running = False
         self._burst_event: Optional[Event] = None
 
-        #: With ``retain_rtts=False`` the per-sample ``rtts`` list stays
-        #: empty (O(1) memory for arbitrarily long runs); consumers must
-        #: aggregate via ``rtt_listeners`` (e.g. into a streaming sketch)
-        #: and window counts come from ``measure_window``.
-        self.retain_rtts = retain_rtts
-        self.measure_window = measure_window
         self.sent: dict = {}                 # req_id -> send time
         self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
         #: Called as ``listener(req_id, send_ns, rtt_ns)`` on each response.
         self.rtt_listeners: List[Callable[[int, int, int], None]] = []
         self.requests_sent = 0
         self.responses_received = 0
-        self._window_completed = 0
 
     # -- wiring -----------------------------------------------------------
 
@@ -127,11 +118,7 @@ class OpenLoopClient:
             return
         self.responses_received += 1
         rtt_ns = self._sim.now - send_ns
-        if self.retain_rtts:
-            self.rtts.append((send_ns, rtt_ns))
-        window = self.measure_window
-        if window is not None and window[0] <= send_ns < window[1]:
-            self._window_completed += 1
+        self.rtts.append((send_ns, rtt_ns))
         for listener in self.rtt_listeners:
             listener(frame.req_id, send_ns, rtt_ns)
 
@@ -194,24 +181,9 @@ class OpenLoopClient:
 
     def rtts_in_window(self, start_ns: int, end_ns: int) -> List[int]:
         """RTTs of requests *sent* within [start, end)."""
-        if not self.retain_rtts:
-            raise RuntimeError(
-                "per-request RTTs were not retained (retain_rtts=False); "
-                "aggregate via rtt_listeners instead"
-            )
         return [rtt for send, rtt in self.rtts if start_ns <= send < end_ns]
 
     def sent_in_window(self, start_ns: int, end_ns: int) -> int:
-        if not self.retain_rtts:
-            if self.measure_window != (start_ns, end_ns):
-                raise RuntimeError(
-                    "sent_in_window without retained RTTs requires the "
-                    "window fixed at construction (measure_window)"
-                )
-            pending = sum(
-                1 for send in self.sent.values() if start_ns <= send < end_ns
-            )
-            return self._window_completed + pending
         completed = sum(1 for send, _ in self.rtts if start_ns <= send < end_ns)
         pending = sum(1 for send in self.sent.values() if start_ns <= send < end_ns)
         return completed + pending

@@ -81,6 +81,13 @@ def load_level(app: str, name: str) -> LoadLevel:
         raise KeyError(f"unknown load level {app!r}/{name!r}") from None
 
 
+def check_app(app: str) -> None:
+    """Raise :class:`ValueError`, naming the field, unless ``app`` is one
+    of the modelled applications (the keys of :data:`LOAD_LEVELS`)."""
+    if app not in LOAD_LEVELS:
+        raise ValueError(f"app must be one of {sorted(LOAD_LEVELS)}, got {app!r}")
+
+
 def burst_period_ns(target_rps: float, n_clients: int, burst_size: int) -> int:
     """Burst period giving ``target_rps`` aggregate across the clients."""
     if target_rps <= 0:

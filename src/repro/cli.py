@@ -85,6 +85,21 @@ def _resolve_rps(app: str, load: Optional[str], rps: Optional[float]) -> float:
     return load_level(app, load or "low").target_rps
 
 
+def _preset_config(args: argparse.Namespace, presets: dict) -> ExperimentConfig:
+    """The config of preset ``args.experiment`` from ``presets``, with the
+    ``--app``/``--policy``/``--rps``/``--load`` overrides applied."""
+    params = dict(presets[args.experiment])
+    if args.app is not None:
+        params["app"] = args.app
+    if args.policy is not None:
+        params["policy"] = args.policy
+    if args.rps is not None:
+        params["target_rps"] = args.rps
+    elif args.load is not None:
+        params["target_rps"] = load_level(params["app"], args.load).target_rps
+    return ExperimentConfig.from_settings(_settings(args), **params)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _settings(args)
     result = run_experiment(
@@ -277,17 +292,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.metrics.export import export_chrome_trace
     from repro.telemetry import ChromeTraceSink
 
-    settings = _settings(args)
-    params = dict(TRACE_PRESETS[args.experiment])
-    if args.app is not None:
-        params["app"] = args.app
-    if args.policy is not None:
-        params["policy"] = args.policy
-    if args.rps is not None:
-        params["target_rps"] = args.rps
-    elif args.load is not None:
-        params["target_rps"] = load_level(params["app"], args.load).target_rps
-    config = ExperimentConfig.from_settings(settings, **params)
+    config = _preset_config(args, TRACE_PRESETS)
     # Same seed -> same bytes: restart the global request-id counter so
     # span ids in the export do not depend on prior runs in this process.
     reset_request_ids()
@@ -295,7 +300,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     run_experiment(config, sinks=[sink])
     count = export_chrome_trace(sink, args.out)
     print(f"wrote {count} trace events to {args.out} "
-          f"({params['app']} / {params['policy']}; open in Perfetto or "
+          f"({config.app} / {config.policy}; open in Perfetto or "
           f"chrome://tracing)")
     return 0
 
@@ -311,24 +316,14 @@ DASHBOARD_PRESETS = {
 def cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.viz import dashboard_from_result, write_dashboard
 
-    settings = _settings(args)
-    params = dict(DASHBOARD_PRESETS[args.experiment])
-    if args.app is not None:
-        params["app"] = args.app
-    if args.policy is not None:
-        params["policy"] = args.policy
-    if args.rps is not None:
-        params["target_rps"] = args.rps
-    elif args.load is not None:
-        params["target_rps"] = load_level(params["app"], args.load).target_rps
-    config = ExperimentConfig.from_settings(settings, **params)
+    config = _preset_config(args, DASHBOARD_PRESETS)
     result = run_experiment(
         config, record_timeseries=args.record, energy_attribution=True
     )
     page = dashboard_from_result(
         result,
         config=config,
-        title=f"Flight recorder - {params['app']} / {params['policy']}",
+        title=f"Flight recorder - {config.app} / {config.policy}",
     )
     path = write_dashboard(page, args.out)
     n_series = len(result.timeseries.series)
@@ -543,29 +538,12 @@ PROFILE_PRESETS = {
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.metrics.export import export_chrome_trace
-    from repro.profiling import (
-        SimProfiler,
-        collapsed_stacks,
-        format_top_handlers,
-    )
+    from repro.profiling import collapsed_stacks, format_top_handlers
     from repro.telemetry import ChromeTraceSink
 
-    settings = _settings(args)
-    params = dict(PROFILE_PRESETS[args.experiment])
-    if args.app is not None:
-        params["app"] = args.app
-    if args.policy is not None:
-        params["policy"] = args.policy
-    if args.rps is not None:
-        params["target_rps"] = args.rps
-    elif args.load is not None:
-        params["target_rps"] = load_level(params["app"], args.load).target_rps
-    config = ExperimentConfig.from_settings(settings, **params)
-    profiler = SimProfiler()
+    config = _preset_config(args, PROFILE_PRESETS)
     sink = ChromeTraceSink() if args.trace_out else None
-    result = run_experiment(
-        config, profile=profiler, sinks=[sink] if sink else None
-    )
+    result = run_experiment(config, profile=True, sinks=[sink] if sink else None)
     profile = result.profile
     assert profile is not None
     print(format_top_handlers(profile, n=args.top))

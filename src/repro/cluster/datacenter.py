@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.apps.workload import generate_load_shares
+from repro.apps.workload import check_app, generate_load_shares
 from repro.cluster.frontend import FrontendConfig
 from repro.cluster.policies import PolicyConfig
 from repro.cluster.simulation import check_run_window
@@ -74,6 +74,11 @@ class DatacenterConfig:
 
     def __post_init__(self) -> None:
         check_run_window(self.warmup_ns, self.measure_ns, self.drain_ns)
+        check_app(self.app)
+        if self.total_rps <= 0:
+            raise ValueError(f"total_rps must be positive, got {self.total_rps}")
+        if self.clients_per_server < 1:
+            raise ValueError(f"clients_per_server must be at least 1, got {self.clients_per_server}")
         if self.n_servers < 1:
             raise ValueError("n_servers must be at least 1")
         shares = self.load_shares
@@ -168,46 +173,15 @@ def run_datacenter(
     config: DatacenterConfig,
     *,
     jobs: Optional[int] = None,
-    record_timeseries: Union[None, bool, str, object] = None,
-    profile: Union[None, bool, object] = None,
     window_ns: Optional[int] = None,
-    trace_requests: Union[None, bool, int, object] = None,
-    profile_fleet: bool = False,
-    monitor: Union[None, bool, str, object] = None,
-    energy_attribution: bool = False,
+    **observers,
 ) -> DatacenterResult:
     """Run a datacenter config, sharded when ``config.n_shards > 1``.
 
-    Everything after ``config`` is an observer/execution knob in the
-    sweep-harness tradition — never part of the config hash, never able
-    to change the simulated outcome:
-
-    - ``jobs``: worker processes for the shards (None = machine default;
-      1 forces serial in-process execution, which is bit-identical).
-    - ``record_timeseries``: flight-recorder spec; the first few servers
-      are recorded and their bundles merged with node-name prefixes.
-    - ``profile``: per-shard simulator self-profiles on the result.
-    - ``window_ns``: override the conservative sync window (testing).
-    - ``trace_requests``: cross-shard request tracing spec (``True``,
-      a sample-every int, or a TraceConfig); frontend mode only.
-    - ``profile_fleet``: per-window shard wall-time/imbalance profile on
-      ``result.fleet_profile``.
-    - ``monitor``: live JSONL heartbeat (``True``/``"-"`` for stderr or
-      an output path).
-    - ``energy_attribution``: per-server energy decomposition +
-      governor-miss accounting, merged into the fleet record's
-      ``energy_attribution`` field in server-index order.
+    The keywords are those of
+    :class:`~repro.cluster.sharding.ShardedDatacenterRun`; none enters
+    the config hash or can change the simulated outcome.
     """
     from repro.cluster.sharding import ShardedDatacenterRun
 
-    return ShardedDatacenterRun(
-        config,
-        jobs=jobs,
-        record_timeseries=record_timeseries,
-        profile=profile,
-        window_ns=window_ns,
-        trace_requests=trace_requests,
-        profile_fleet=profile_fleet,
-        monitor=monitor,
-        energy_attribution=energy_attribution,
-    ).execute()
+    return ShardedDatacenterRun(config, jobs=jobs, window_ns=window_ns, **observers).execute()

@@ -192,7 +192,7 @@ class FrontendPlanner:
         warmup_ns: int,
         measure_ns: int,
         seed: int,
-        trace_sample_every: Optional[int] = None,
+        sample_every: Optional[int] = None,
     ):
         self.config = frontend
         self.n_servers = n_servers
@@ -228,7 +228,7 @@ class FrontendPlanner:
         # Sampling uses the pure hash rule shared with the shard-side
         # collectors, so it consumes no RNG stream and the plan is
         # unchanged whether tracing is on or off.
-        self._trace_sample_every = trace_sample_every
+        self._sample_every = sample_every
         #: Stamped samples: (src, req_id, user, server, decision_ns, send_ns).
         self.trace_samples: List[Tuple[str, int, int, int, int, int]] = []
 
@@ -279,8 +279,8 @@ class FrontendPlanner:
                 if self._warmup_ns <= send_ns < self._warmup_ns + self._measure_ns:
                     self.dispatched_in_measure[server] += 1
                 frame = self._make_frame(server, user, send_ns)
-                if self._trace_sample_every is not None and is_sampled(
-                    frame.src, frame.req_id, self._trace_sample_every
+                if self._sample_every is not None and is_sampled(
+                    frame.src, frame.req_id, self._sample_every
                 ):
                     self.trace_samples.append(
                         (frame.src, frame.req_id, user, server,
@@ -313,11 +313,9 @@ class FrontendPort:
     The sending half of the tier: it injects the coordinator's planned
     dispatches into the shard simulator (one vectorized send per window)
     and records RTTs of the responses the server routes back, with the
-    same windowed accounting as :class:`~repro.apps.client.OpenLoopClient`.
+    same windowed accounting and ``rtt_listeners`` as
+    :class:`~repro.apps.client.OpenLoopClient`.
     """
-
-    #: Every reply's RTT is kept (the client's ``retain_rtts``, fixed on).
-    retain_rtts = True
 
     def __init__(self, sim: Simulator, name: str):
         self._sim = sim
@@ -325,11 +323,10 @@ class FrontendPort:
         self._port: Optional[LinkPort] = None
         self.sent: Dict[int, int] = {}       # req_id -> send time
         self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
+        #: Called as ``listener(req_id, send_ns, rtt_ns)`` on each reply.
+        self.rtt_listeners: List[Callable[[int, int, int], None]] = []
         self.requests_sent = 0
         self.responses_received = 0
-        #: Observer hook ``(req_id, send_ns, recv_ns)`` called on every
-        #: reply (request tracing closes sampled RTT spans through it).
-        self.trace_hook: Optional[Callable[[int, int, int], None]] = None
 
     def attach_port(self, port: LinkPort) -> None:
         self._port = port
@@ -341,9 +338,10 @@ class FrontendPort:
         if send_ns is None:
             return
         self.responses_received += 1
-        self.rtts.append((send_ns, self._sim.now - send_ns))
-        if self.trace_hook is not None:
-            self.trace_hook(frame.req_id, send_ns, self._sim.now)
+        rtt_ns = self._sim.now - send_ns
+        self.rtts.append((send_ns, rtt_ns))
+        for listener in self.rtt_listeners:
+            listener(frame.req_id, send_ns, rtt_ns)
 
     def inject(self, dispatches: Sequence[Tuple[int, Frame]]) -> None:
         """Inject planned ``(send_ns, frame)`` pairs (non-decreasing times).

@@ -43,7 +43,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.client import OpenLoopClient
 from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
@@ -56,6 +56,8 @@ from repro.cluster.datacenter import (
 from repro.cluster.frontend import Dispatch, FrontendPlanner, FrontendPort
 from repro.cluster.node import ServerNode
 from repro.cluster.simulation import (
+    SINGLE_RUN_ONLY,
+    Observers,
     ServerMeasure,
     Station,
     arm_window,
@@ -71,18 +73,11 @@ from repro.profiling.fleet import FleetProfile, WindowSample
 from repro.profiling.profiler import SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.telemetry.monitor import RunMonitor, resolve_monitor
-from repro.telemetry.recorder import (
-    RecorderConfig,
-    merge_timeseries_bundles,
-    resolve_recorder_config,
-)
+from repro.telemetry.recorder import merge_timeseries_bundles
 from repro.telemetry.tracing import (
     FleetTraceBundle,
     RequestTraceCollector,
-    TraceConfig,
     merge_fleet_traces,
-    resolve_trace_config,
 )
 
 #: At most this many servers get a flight recorder in a recorded run
@@ -148,7 +143,8 @@ class ShardRun:
     for exactly the servers in ``server_indices``: one
     :class:`~repro.cluster.simulation.Station` per server on a shard-local
     switch (global names are kept: shard placement is invisible to the
-    simulated system).
+    simulated system).  Every server after the first
+    :data:`MAX_RECORDED_SERVERS` is built without a flight recorder.
     """
 
     def __init__(
@@ -157,25 +153,17 @@ class ShardRun:
         shard_index: int,
         server_indices: Sequence[int],
         *,
-        record_indices: Sequence[int] = (),
-        recorder_config: Optional[RecorderConfig] = None,
-        profile: bool = False,
-        profiler: Optional[SimProfiler] = None,
-        trace_sample_every: Optional[int] = None,
-        energy_attribution: bool = False,
+        observers: Observers = Observers(),
     ):
         self.config = config
         self.shard_index = shard_index
         self.server_indices = list(server_indices)
         self.window = (config.warmup_ns, config.warmup_ns + config.measure_ns)
         self.sim = Simulator()
-        #: The shard's own profiler (``profile=True``), reported in
-        #: :attr:`ShardResult.profile`.  A caller's ``profiler`` spans
-        #: every shard and is read by the caller, so it is only attached.
-        self.profiler = SimProfiler() if profile else None
-        for attached in (self.profiler, profiler):
-            if attached is not None:
-                attached.attach(self.sim)
+        #: The shard's own profiler, reported in :attr:`ShardResult.profile`.
+        self.profiler = SimProfiler() if observers.profile else None
+        if self.profiler is not None:
+            self.profiler.attach(self.sim)
         self.rng = RngRegistry(config.seed)
         self.switch = Switch(self.sim)
         self.stations: List[Station] = []
@@ -186,8 +174,9 @@ class ShardRun:
         self.last_window_wall_s = 0.0
         self.last_window_events = 0
         self.tracer: Optional[RequestTraceCollector] = None
-        if trace_sample_every is not None and config.frontend is not None:
-            self.tracer = RequestTraceCollector(trace_sample_every)
+        if observers.trace_requests is not None:
+            self.tracer = RequestTraceCollector(observers.trace_requests.sample_every)
+        unrecorded = replace(observers, record_timeseries=None)
 
         shares = config.resolved_shares()
         burst_size = default_burst_size(config.app)
@@ -222,10 +211,7 @@ class ShardRun:
             self.stations.append(
                 Station(
                     self.sim, self.switch, server, clients, sources,
-                    recorder_config=(
-                        recorder_config if i in record_indices else None
-                    ),
-                    energy_attribution=energy_attribution,
+                    observers=observers if i < MAX_RECORDED_SERVERS else unrecorded,
                 )
             )
 
@@ -297,27 +283,12 @@ class _ShardHost:
         self,
         config: DatacenterConfig,
         assignments: Dict[int, List[int]],
-        *,
-        record_indices: Sequence[int] = (),
-        recorder_config: Optional[RecorderConfig] = None,
-        profile: bool = False,
-        profiler: Optional[SimProfiler] = None,
-        trace_sample_every: Optional[int] = None,
-        energy_attribution: bool = False,
+        observers: Observers,
     ):
-        self.shards: Dict[int, ShardRun] = {}
-        for shard_index in sorted(assignments):
-            self.shards[shard_index] = ShardRun(
-                config,
-                shard_index,
-                assignments[shard_index],
-                record_indices=record_indices,
-                recorder_config=recorder_config,
-                profile=profile,
-                profiler=profiler,
-                trace_sample_every=trace_sample_every,
-                energy_attribution=energy_attribution,
-            )
+        self.shards: Dict[int, ShardRun] = {
+            k: ShardRun(config, k, assignments[k], observers=observers)
+            for k in sorted(assignments)
+        }
 
     def start(self) -> None:
         for shard in self.shards.values():
@@ -427,22 +398,25 @@ class _PoolWorkers:
 
 
 class ShardedDatacenterRun:
-    """The window coordinator: builds, advances and merges the shards."""
+    """The window coordinator: builds, advances and merges the shards.
+
+    ``observers`` are the fleet keywords of
+    :meth:`~repro.cluster.simulation.Observers.of`.  ``jobs`` sets the
+    worker processes for the shards (None = machine default; 1 forces
+    serial in-process execution, which is bit-identical) and
+    ``window_ns`` overrides the conservative sync window.
+    """
 
     def __init__(
         self,
         config: DatacenterConfig,
         *,
         jobs: Optional[int] = None,
-        record_timeseries: Union[None, bool, str, object] = None,
-        profile: Union[None, bool, SimProfiler] = None,
         window_ns: Optional[int] = None,
-        trace_requests: Union[None, bool, int, TraceConfig] = None,
-        profile_fleet: bool = False,
-        monitor: Union[None, bool, str, RunMonitor] = None,
-        energy_attribution: bool = False,
+        **observers,
     ):
         self.config = config
+        self.observers = Observers.of(**observers).reject(SINGLE_RUN_ONLY, "a fleet run")
         self.plan = shard_plan(config.n_servers, config.n_shards)
         self.window_ns = window_ns or conservative_window_ns(config)
         if config.frontend is not None:
@@ -454,32 +428,16 @@ class ShardedDatacenterRun:
                 )
         else:
             self._dispatch_ns = 0
-        self._recorder_config = resolve_recorder_config(record_timeseries)
-        self._record_indices: Tuple[int, ...] = ()
-        if self._recorder_config is not None:
-            self._record_indices = tuple(
-                range(min(MAX_RECORDED_SERVERS, config.n_servers))
-            )
-        self._profiler = profile if isinstance(profile, SimProfiler) else None
-        self._profile = bool(profile) and self._profiler is None
-        # Fleet observers (never in the config hash, never able to change
-        # the simulated outcome — the parity suites prove it).
-        self._trace_config = resolve_trace_config(trace_requests)
-        if self._trace_config is not None and config.frontend is None:
+        if self.observers.trace_requests is not None and config.frontend is None:
             raise ValueError(
                 "request tracing requires frontend mode: classic client "
                 "pools draw request ids from a process-global counter, so "
                 "(src, req_id) identities would depend on shard placement "
                 "and the sampled set could not be placement-deterministic"
             )
-        self._profile_fleet = bool(profile_fleet)
-        self._energy_attribution = bool(energy_attribution)
-        self._monitor = resolve_monitor(monitor)
         self.fleet_profile: Optional[FleetProfile] = None
         n_jobs = resolve_jobs(jobs)
-        self._use_pool = (
-            config.n_shards > 1 and n_jobs > 1 and self._profiler is None
-        )
+        self._use_pool = config.n_shards > 1 and n_jobs > 1
         self._n_slots = min(n_jobs, config.n_shards)
         self._shard_of: Dict[int, int] = {}
         for shard_index, indices in enumerate(self.plan):
@@ -488,21 +446,8 @@ class ShardedDatacenterRun:
         self._inline_host: Optional[_ShardHost] = None
         if not self._use_pool:
             self._inline_host = _ShardHost(
-                config,
-                {k: idx for k, idx in enumerate(self.plan)},
-                record_indices=self._record_indices,
-                recorder_config=self._recorder_config,
-                profile=self._profile,
-                profiler=self._profiler,
-                trace_sample_every=self._trace_sample_every,
-                energy_attribution=self._energy_attribution,
+                config, dict(enumerate(self.plan)), self.observers
             )
-
-    @property
-    def _trace_sample_every(self) -> Optional[int]:
-        if self._trace_config is None:
-            return None
-        return self._trace_config.sample_every
 
     def inline_shards(self) -> List[ShardRun]:
         """The in-process ShardRuns (serial mode only), in shard order."""
@@ -517,6 +462,7 @@ class ShardedDatacenterRun:
 
     def execute(self) -> DatacenterResult:
         config = self.config
+        trace = self.observers.trace_requests
         planner: Optional[FrontendPlanner] = None
         if config.frontend is not None:
             planner = FrontendPlanner(
@@ -527,19 +473,17 @@ class ShardedDatacenterRun:
                 warmup_ns=config.warmup_ns,
                 measure_ns=config.measure_ns,
                 seed=config.seed,
-                trace_sample_every=self._trace_sample_every,
+                sample_every=trace.sample_every if trace is not None else None,
             )
 
         pool: Optional[_PoolWorkers] = None
         slot_of_shard: Dict[int, int] = {}
         if self._use_pool:
+            # The monitor stays with the coordinator, which alone reads
+            # the window reports it writes.
             payload_base = dict(
                 config=config,
-                record_indices=self._record_indices,
-                recorder_config=self._recorder_config,
-                profile=self._profile,
-                trace_sample_every=self._trace_sample_every,
-                energy_attribution=self._energy_attribution,
+                observers=replace(self.observers, monitor=None),
             )
             payloads: List[Dict[str, object]] = []
             for slot in range(self._n_slots):
@@ -553,12 +497,12 @@ class ShardedDatacenterRun:
             pool = _PoolWorkers(payloads)
 
         fleet_profile: Optional[FleetProfile] = None
-        if self._profile_fleet:
+        if self.observers.profile_fleet:
             fleet_profile = FleetProfile(
                 n_shards=config.n_shards,
                 n_slots=self._n_slots if self._use_pool else 1,
             )
-        monitor = self._monitor
+        monitor = self.observers.monitor
         end_ns = config.end_ns
         window = self.window_ns
         if monitor is not None:
@@ -700,9 +644,9 @@ class ShardedDatacenterRun:
         ]
         trace_bundle: Optional[FleetTraceBundle] = None
         fleet_section: Dict[str, object] = {}
-        if self._trace_config is not None and planner is not None:
+        if self.observers.trace_requests is not None and planner is not None:
             trace_bundle = merge_fleet_traces(
-                self._trace_config,
+                self.observers.trace_requests,
                 planner.trace_samples,
                 [r.trace for r in shard_results],
             )

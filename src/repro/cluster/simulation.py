@@ -17,19 +17,18 @@ Section 7/8 experiments are one station around their own server class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.attribution import AttributionReport, AttributionSink
 from repro.analysis.audit import InvariantAuditor
 from repro.analysis.energy import EnergyAttribution, attribution_between
-from repro.analysis.sketch import StreamingSketch
 from repro.apps.client import (
     OpenLoopClient,
     http_request_factory,
     memcached_request_factory,
 )
-from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
+from repro.apps.workload import burst_period_ns, check_app, default_burst_size, sla_for
 from repro.cluster.node import ServerNode
 from repro.cluster.policies import PolicyConfig
 from repro.cluster.recording import build_server_recorder
@@ -47,12 +46,14 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, US, gbps
 from repro.telemetry import Telemetry
+from repro.telemetry.monitor import RunMonitor, resolve_monitor
 from repro.telemetry.recorder import (
     RecorderConfig,
     TimeSeriesRecorder,
     TimeseriesBundle,
     resolve_recorder_config,
 )
+from repro.telemetry.tracing import TraceConfig, resolve_trace_config
 from repro.telemetry.triggers import Watchpoint
 
 
@@ -106,6 +107,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_run_window(self.warmup_ns, self.measure_ns, self.drain_ns)
+        check_app(self.app)
+        if self.target_rps <= 0:
+            raise ValueError(f"target_rps must be positive, got {self.target_rps}")
+        if self.n_clients < 1:
+            raise ValueError(f"n_clients must be at least 1, got {self.n_clients}")
+        if self.burst_size is not None and self.burst_size < 1:
+            raise ValueError(f"burst_size must be None or at least 1, got {self.burst_size}")
 
     @property
     def sla_ns(self) -> int:
@@ -213,6 +221,115 @@ class ServerMeasure:
     energy_attribution: Optional[EnergyAttribution] = None
 
 
+@dataclass(frozen=True)
+class Observers:
+    """The observers of one run, resolved; build it with :meth:`of`.
+
+    An observer reads the simulated system and fills its own section of
+    the result; it never changes anything else in a record, and it is
+    never a config field, so it never changes a cache key.
+    """
+
+    sinks: Tuple[object, ...] = ()
+    audit: bool = False
+    record_timeseries: Optional[RecorderConfig] = None
+    watchpoints: Tuple[Watchpoint, ...] = ()
+    profile: bool = False
+    energy_attribution: bool = False
+    trace_requests: Optional[TraceConfig] = None
+    profile_fleet: bool = False
+    monitor: Optional[RunMonitor] = None
+
+    @classmethod
+    def of(
+        cls,
+        *,
+        sinks: Optional[Iterable[object]] = None,
+        audit: bool = False,
+        record_timeseries: Union[None, bool, str, RecorderConfig] = None,
+        watchpoints: Optional[Iterable[Watchpoint]] = None,
+        profile: bool = False,
+        energy_attribution: bool = False,
+        trace_requests: Union[None, bool, int, TraceConfig] = None,
+        profile_fleet: bool = False,
+        monitor: Union[None, bool, str, RunMonitor] = None,
+    ) -> "Observers":
+        """Resolve the observer keywords of every run entry point.
+
+        Single runs (:func:`run_experiment`, :class:`Cluster`) only:
+
+        - ``sinks``: telemetry sinks attached before the server is built;
+          an :class:`~repro.analysis.attribution.AttributionSink` also
+          gets every client's RTTs and fills ``attribution``.
+        - ``audit``: an :class:`~repro.analysis.audit.InvariantAuditor`;
+          any inconsistency raises ``AuditError`` at collection.
+        - ``watchpoints``: :class:`~repro.telemetry.triggers.Watchpoint`
+          triggers armed on the flight recorder.
+
+        Fleet runs (``ShardedDatacenterRun``, ``run_datacenter``,
+        ``run_preset``) only:
+
+        - ``trace_requests``: cross-shard request tracing (``True``, a
+          sample-every ``int`` or a ``TraceConfig``), frontend mode only;
+          fills the ``fleet`` section and ``result.trace``.
+        - ``profile_fleet``: the per-window shard wall-time and imbalance
+          profile on ``result.fleet_profile``.
+        - ``monitor``: a live JSONL heartbeat: ``True`` or ``"-"`` for
+          stderr, a path (truncated by each run) or a ``RunMonitor``.
+
+        Both:
+
+        - ``record_timeseries``: the flight recorder (``True``,
+          ``"coarse"``/``"fine"`` or a ``RecorderConfig``); fills
+          ``timeseries``.  A fleet records its first
+          ``MAX_RECORDED_SERVERS`` servers.
+        - ``profile``: ``True`` attaches a ``SimProfiler`` to each of the
+          run's simulators and fills ``profile`` (a fleet: each shard's).
+          Building a run schedules nothing, so a profiler of your own
+          can be attached to ``cluster.sim`` or to each
+          ``run.inline_shards()`` simulator after construction.
+        - ``energy_attribution``: per-server idle accounting; fills
+          ``energy_attribution`` with the energy decomposition and
+          governor-miss grades, merged in server-index order in a fleet.
+
+        An unknown keyword, or a ``profile`` that is not a bool, raises
+        :class:`TypeError`.
+        """
+        if not isinstance(profile, bool):
+            raise TypeError(
+                f"profile must be a bool, not {type(profile).__name__}: attach "
+                "a SimProfiler of your own to the built run's simulators"
+            )
+        return cls(
+            sinks=tuple(sinks or ()),
+            audit=bool(audit),
+            record_timeseries=resolve_recorder_config(record_timeseries),
+            watchpoints=tuple(watchpoints or ()),
+            profile=profile,
+            energy_attribution=bool(energy_attribution),
+            trace_requests=resolve_trace_config(trace_requests),
+            profile_fleet=bool(profile_fleet),
+            monitor=resolve_monitor(monitor),
+        )
+
+    def reject(self, names: Sequence[str], run: str) -> "Observers":
+        """This value, unless one of ``names`` is on: then raise
+        :class:`ValueError` naming each that is, as observers ``run``
+        cannot carry."""
+        on = [
+            f.name for f in fields(self)
+            if f.name in names and getattr(self, f.name) != f.default
+        ]
+        if on:
+            raise ValueError(f"{run} cannot carry the observers {', '.join(on)}")
+        return self
+
+
+#: Observers only a fleet run carries, and those only a single run does.
+FLEET_ONLY = ("trace_requests", "profile_fleet", "monitor")
+SINGLE_RUN_ONLY = ("sinks", "audit", "watchpoints")
+
+
 def client_pool(
     sim: Simulator,
     rng: RngRegistry,
@@ -254,9 +371,10 @@ class Station:
     ``clients`` are started with the server and stopped at the window
     close; ``sources`` (default: the clients) are what the station links
     to the switch and reads RTTs and send counts from.  A frontend-fed
-    fleet server passes its frontend port as its only source.  The
-    observers are the idle accounting (``energy_attribution=True``) and
-    the flight recorder (``recorder_config``) with its ``watchpoints``.
+    fleet server passes its frontend port as its only source.  Of the
+    ``observers`` the station builds the per-server ones: the idle
+    accounting (``energy_attribution``) and the flight recorder
+    (``record_timeseries``) with its ``watchpoints``.
     """
 
     def __init__(
@@ -267,21 +385,18 @@ class Station:
         clients: Sequence[OpenLoopClient],
         sources: Optional[Sequence[object]] = None,
         *,
-        recorder_config: Optional[RecorderConfig] = None,
-        watchpoints: Iterable[Watchpoint] = (),
-        energy_attribution: bool = False,
+        observers: Observers = Observers(),
         link_bandwidth_bps: float = gbps(10),
         link_latency_ns: int = 1 * US,
     ):
         self.server = server
         self.clients = list(clients)
         self.sources = list(sources) if sources is not None else self.clients
-        #: Idle accounting — an observer, never a config field: per-idle-
-        #: exit bookings only resegment the meters at boundaries that
-        #: close anyway, so attaching it cannot change the simulated
-        #: result (the parity tests prove it).
+        #: Idle accounting: per-idle-exit bookings only resegment the
+        #: meters at boundaries that close anyway, so attaching it cannot
+        #: change the simulated result (the parity tests prove it).
         self.accounting: Optional[IdleAccounting] = None
-        if energy_attribution:
+        if observers.energy_attribution:
             cpuidle = server.cpuidle
             self.accounting = build_idle_accounting(
                 server.package.cstates,
@@ -290,9 +405,9 @@ class Station:
             )
             self.accounting.attach(server.package.cores)
         self.recorder: Optional[TimeSeriesRecorder] = None
-        if recorder_config is not None:
-            self.recorder = build_server_recorder(sim, server, recorder_config)
-            for watchpoint in watchpoints:
+        if observers.record_timeseries is not None:
+            self.recorder = build_server_recorder(sim, server, observers.record_timeseries)
+            for watchpoint in observers.watchpoints:
                 self.recorder.add_watchpoint(watchpoint)
         for device in (server, *self.sources):
             switch.connect(device, link_bandwidth_bps, link_latency_ns)
@@ -323,16 +438,11 @@ class Station:
         ))
 
     def window_rtts(self, window: Tuple[int, int]) -> List[int]:
-        """RTTs of the requests sent within ``window``, source by source.
-
-        A client built with ``retain_rtts=False`` keeps none; its RTTs
-        reach only its ``rtt_listeners``.
-        """
+        """RTTs of the requests sent within ``window``, source by source."""
         start, end = window
         rtts: List[int] = []
         for source in self.sources:
-            if source.retain_rtts:
-                rtts.extend(source.rtts_in_window(start, end))
+            rtts.extend(source.rtts_in_window(start, end))
         return rtts
 
     def energy(self) -> EnergyReport:
@@ -403,42 +513,29 @@ def arm_window(
 
 
 class Cluster:
-    """A built (but not yet run) four-node experiment: one station."""
+    """A built (but not yet run) four-node experiment: one station.
 
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        sinks: Optional[Iterable] = None,
-        audit: bool = False,
-        streaming_latency: bool = False,
-        record_timeseries: Union[None, bool, str, object] = None,
-        watchpoints: Optional[Iterable[Watchpoint]] = None,
-        profile: Union[None, bool, SimProfiler] = None,
-        energy_attribution: bool = False,
-    ):
+    ``observers`` are the single-run keywords of :meth:`Observers.of`.
+    None is an :class:`ExperimentConfig` field, because the config feeds
+    the sweep cache hash.  With no sinks every probe stays disabled: the
+    hot path pays a single truthiness check.
+    """
+
+    def __init__(self, config: ExperimentConfig, **observers):
         self.config = config
+        self.observers = Observers.of(**observers).reject(FLEET_ONLY, "a single run")
         self.sim = Simulator()
-        #: Simulator self-profiler — an observer like sinks/audit, never
-        #: a config field (mirroring ``record_timeseries=``): attaching
-        #: it must not invalidate cached results.
-        self.profiler: Optional[SimProfiler] = (
-            (SimProfiler() if profile is True else profile) or None
-        )
-        if self.profiler is not None:
+        self.profiler: Optional[SimProfiler] = None
+        if self.observers.profile:
+            self.profiler = SimProfiler()
             self.profiler.attach(self.sim)
         self.rng = RngRegistry(config.seed)
-        # Sinks attach here (constructor argument, NOT a config field:
-        # ExperimentConfig feeds the sweep cache hash, and attaching an
-        # observer must not invalidate cached results).  With no sinks
-        # every probe stays disabled — the hot path pays a single
-        # truthiness check.  ``audit`` and ``streaming_latency`` are
-        # observers too, for the same reason.
         self.telemetry = Telemetry()
         self.auditor: Optional[InvariantAuditor] = (
-            self.telemetry.add_sink(InvariantAuditor()) if audit else None
+            self.telemetry.add_sink(InvariantAuditor()) if self.observers.audit else None
         )
         self.attribution: Optional[AttributionSink] = None
-        for sink in sinks or ():
+        for sink in self.observers.sinks:
             self.telemetry.add_sink(sink)
             if isinstance(sink, AttributionSink):
                 self.attribution = sink
@@ -468,12 +565,6 @@ class Cluster:
                 self.attribution.f_max_hz = self.server.package.max_frequency_hz
             if self.attribution.measure_window is None:
                 self.attribution.measure_window = window
-        #: Streaming-latency mode: clients retain no per-sample RTT list;
-        #: the measurement window's population streams into one sketch
-        #: (O(1) memory for arbitrarily long runs).
-        self.latency_sketch: Optional[StreamingSketch] = (
-            StreamingSketch() if streaming_latency else None
-        )
         self.burst_size = (
             config.burst_size
             if config.burst_size is not None
@@ -490,46 +581,25 @@ class Cluster:
                 config.target_rps, config.n_clients, self.burst_size
             ),
             jitter_fraction=config.burst_jitter,
-            retain_rtts=self.latency_sketch is None,
-            measure_window=window if self.latency_sketch is not None else None,
         )
-        for client in self.clients:
-            if self.attribution is not None:
+        if self.attribution is not None:
+            for client in self.clients:
                 client.rtt_listeners.append(self._attribution_listener(client.name))
-            if self.latency_sketch is not None:
-                client.rtt_listeners.append(self._sketch_listener(window))
-        #: ``record_timeseries=`` builds the station's flight recorder and
-        #: exports its bundle on the result; ``energy_attribution=`` its
-        #: idle accounting.  Both are observers, never config fields.
         self.station = Station(
             self.sim,
             self.switch,
             self.server,
             self.clients,
-            recorder_config=resolve_recorder_config(record_timeseries),
-            watchpoints=watchpoints or (),
-            energy_attribution=energy_attribution,
+            observers=self.observers,
             link_bandwidth_bps=config.link_bandwidth_bps,
             link_latency_ns=config.link_latency_ns,
         )
-        self.recorder = self.station.recorder
-        self.energy_accounting = self.station.accounting
 
     def _attribution_listener(self, client_name: str):
         sink = self.attribution
 
         def listener(req_id: int, send_ns: int, rtt_ns: int) -> None:
             sink.on_client_rtt(client_name, req_id, send_ns, rtt_ns)
-
-        return listener
-
-    def _sketch_listener(self, window):
-        sketch = self.latency_sketch
-        start, end = window
-
-        def listener(req_id: int, send_ns: int, rtt_ns: int) -> None:
-            if start <= send_ns < end:
-                sketch.add(rtt_ns)
 
         return listener
 
@@ -559,12 +629,8 @@ class Cluster:
                 attribution=self.attribution,
                 energy_attribution=measure.energy_attribution,
             )
-        if self.latency_sketch is not None:
-            latency = LatencyStats.from_sketch(self.latency_sketch)
-            responses = self.latency_sketch.count
-        else:
-            latency = LatencyStats.from_values(measure.rtts)
-            responses = measure.responses
+        latency = LatencyStats.from_values(measure.rtts)
+        responses = measure.responses
         sent = measure.sent
         return ExperimentResult(
             policy_name=measure.policy_name,
@@ -595,48 +661,15 @@ class Cluster:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    keep_server: bool = False,
-    sinks: Optional[Iterable] = None,
-    audit: bool = False,
-    streaming_latency: bool = False,
-    record_timeseries: Union[None, bool, str, object] = None,
-    watchpoints: Optional[Iterable[Watchpoint]] = None,
-    profile: Union[None, bool, SimProfiler] = None,
-    energy_attribution: bool = False,
+    config: ExperimentConfig, keep_server: bool = False, **observers
 ) -> ExperimentResult:
     """Build and run one cluster experiment.
 
     Pass ``keep_server=True`` to retain the live :class:`ServerNode` on the
     result for post-hoc inspection (engine counters, wake times); the
     default lightweight result stays picklable and lets the cluster be
-    garbage-collected between sweep points.  ``sinks`` (e.g. a
-    :class:`repro.telemetry.ChromeTraceSink` or an
-    :class:`repro.analysis.attribution.AttributionSink`) are attached to
-    the server's telemetry before the node is built.  ``audit=True``
-    attaches an :class:`~repro.analysis.audit.InvariantAuditor` that
-    raises on any inconsistency; ``streaming_latency=True`` aggregates
-    latency through an O(1)-memory sketch instead of retaining every RTT.
-    ``record_timeseries`` (``True``, ``"coarse"``/``"fine"``, or a
-    :class:`~repro.telemetry.recorder.RecorderConfig`) attaches the
-    flight recorder and populates ``result.timeseries``; ``watchpoints``
-    arms :class:`~repro.telemetry.triggers.Watchpoint` triggers on it.
-    ``profile`` (``True`` or a :class:`~repro.profiling.SimProfiler`)
-    attaches the profiler to the run's simulator before anything is
-    scheduled and populates ``result.profile`` with per-handler
-    wall-time attribution and heap health.  ``energy_attribution=True``
-    attaches the idle-accounting observer and populates
-    ``result.energy_attribution`` with the telescoping energy
-    decomposition and governor-miss grades.  None of these are config
-    fields, so none invalidate cached results.
+    garbage-collected between sweep points.  ``observers`` are the
+    single-run keywords of :meth:`Observers.of`; none of them is a config
+    field, so none invalidates cached results.
     """
-    return Cluster(
-        config,
-        sinks=sinks,
-        audit=audit,
-        streaming_latency=streaming_latency,
-        record_timeseries=record_timeseries,
-        watchpoints=watchpoints,
-        profile=profile,
-        energy_attribution=energy_attribution,
-    ).run(keep_server=keep_server)
+    return Cluster(config, **observers).run(keep_server=keep_server)

@@ -149,14 +149,13 @@ def run_preset(
     *,
     overrides: Optional[dict] = None,
     jobs: Optional[int] = None,
-    record_timeseries=None,
-    profile=None,
-    trace_requests=None,
-    profile_fleet: bool = False,
-    monitor=None,
-    energy_attribution: bool = False,
+    **observers,
 ) -> DatacenterResult:
-    """Run one named cluster preset (optionally with config overrides)."""
+    """Run one named cluster preset (optionally with config overrides).
+
+    ``observers`` are the fleet keywords of
+    :meth:`~repro.cluster.simulation.Observers.of`.
+    """
     try:
         config = PRESETS[name]
     except KeyError:
@@ -166,16 +165,7 @@ def run_preset(
         ) from None
     if overrides:
         config = replace(config, **overrides)
-    return run_datacenter(
-        config,
-        jobs=jobs,
-        record_timeseries=record_timeseries,
-        profile=profile,
-        trace_requests=trace_requests,
-        profile_fleet=profile_fleet,
-        monitor=monitor,
-        energy_attribution=energy_attribution,
-    )
+    return run_datacenter(config, jobs=jobs, **observers)
 
 
 def format_fleet_report(result: DatacenterResult) -> str:

@@ -37,10 +37,15 @@ def _kernel_stats(sims: Sequence[Simulator], **counters: float) -> ScenarioStats
     )
 
 
+def _attach(profiler: Optional[SimProfiler], sims: Sequence[Simulator]) -> None:
+    if profiler is not None:
+        for sim in sims:
+            profiler.attach(sim)
+
+
 def _simulator(profiler: Optional[SimProfiler]) -> Simulator:
     sim = Simulator()
-    if profiler is not None:
-        profiler.attach(sim)
+    _attach(profiler, [sim])
     return sim
 
 
@@ -189,7 +194,8 @@ def small_cluster(profiler: Optional[SimProfiler]) -> ScenarioStats:
         measure_ns=30 * MS,
         drain_ns=20 * MS,
     )
-    cluster = Cluster(config, profile=profiler)
+    cluster = Cluster(config)
+    _attach(profiler, [cluster.sim])
     result = cluster.run()
     assert result.responses_received > 0
     return _kernel_stats(
@@ -216,9 +222,9 @@ def _headline(
         config,
         sinks=[AttributionSink()] if attributed else None,
         audit=attributed,
-        profile=profiler,
         energy_attribution=energy,
     )
+    _attach(profiler, [cluster.sim])
     result = cluster.run()
     assert result.responses_received > 0
     return _kernel_stats(
@@ -247,9 +253,14 @@ def headline_energy(profiler: Optional[SimProfiler]) -> ScenarioStats:
     return _headline(profiler, attributed=False, energy=True)
 
 
-def _datacenter_stats(run, result) -> ScenarioStats:
+def _datacenter_run(profiler: Optional[SimProfiler], run) -> ScenarioStats:
+    """Execute a serial fleet ``run`` with ``profiler`` on every shard."""
+    sims = [shard.sim for shard in run.inline_shards()]
+    _attach(profiler, sims)
+    result = run.execute()
+    assert result.record.responses_received > 0
     return _kernel_stats(
-        [shard.sim for shard in run.inline_shards()],
+        sims,
         responses_received=result.record.responses_received,
         requests_sent=result.record.requests_sent,
     )
@@ -269,10 +280,7 @@ def datacenter_sharded(profiler: Optional[SimProfiler]) -> ScenarioStats:
         drain_ns=20 * MS,
         n_shards=2,
     )
-    run = ShardedDatacenterRun(config, jobs=1, profile=profiler)
-    result = run.execute()
-    assert result.record.responses_received > 0
-    return _datacenter_stats(run, result)
+    return _datacenter_run(profiler, ShardedDatacenterRun(config, jobs=1))
 
 
 def _frontend_run(profiler: Optional[SimProfiler], **observers) -> ScenarioStats:
@@ -293,10 +301,7 @@ def _frontend_run(profiler: Optional[SimProfiler], **observers) -> ScenarioStats
             intra_burst_gap_ns=1_000, dispatch_latency_ns=1 * MS,
         ),
     )
-    run = ShardedDatacenterRun(config, jobs=1, profile=profiler, **observers)
-    result = run.execute()
-    assert result.record.responses_received > 0
-    return _datacenter_stats(run, result)
+    return _datacenter_run(profiler, ShardedDatacenterRun(config, jobs=1, **observers))
 
 
 def frontend_bulk(profiler: Optional[SimProfiler]) -> ScenarioStats:

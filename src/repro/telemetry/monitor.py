@@ -6,7 +6,8 @@ windows completed, fleet sim-time reached, per-shard events/s over the
 last window, the current straggler, and a wall-clock ETA extrapolated
 from progress so far.  ``path`` of ``-`` (the default) writes to stderr
 so the heartbeat never mixes with report output on stdout; any other
-path appends JSONL that CI or a dashboard can tail.
+path is truncated and then holds one run's JSONL (``begin`` first,
+``end`` last) for CI or a dashboard to tail.
 
 The monitor is a pure observer of coordinator state — it reads window
 reports the coordinator already collected, writes outside the simulator,
@@ -143,7 +144,7 @@ class RunMonitor:
 
 def resolve_monitor(spec: Any) -> Optional[RunMonitor]:
     """Normalize a ``monitor=`` argument: None/False off, True/"-" stderr,
-    a string path appends JSONL there, a RunMonitor passes through."""
+    a string path truncated for one run's JSONL, a RunMonitor as is."""
     if spec is None or spec is False:
         return None
     if spec is True:

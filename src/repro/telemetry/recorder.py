@@ -523,8 +523,6 @@ class TimeSeriesRecorder:
                     detail=detail,
                 )
             )
-        if self._telemetry is not None:
-            self._telemetry.counter("recorder.watchpoints.fired").inc()
         hires_ns = max(1, self.interval_ns // watchpoint.hires_factor)
         window = CaptureWindow(
             watchpoint=watchpoint.name,

@@ -143,11 +143,11 @@ class RequestTraceCollector:
         replies = self._replies
         name = port.name
 
-        def on_reply(req_id: int, send_ns: int, recv_ns: int) -> None:
+        def on_reply(req_id: int, send_ns: int, rtt_ns: int) -> None:
             if is_sampled(name, req_id, sample_every):
-                replies[(name, req_id)] = recv_ns
+                replies[(name, req_id)] = send_ns + rtt_ns
 
-        port.trace_hook = on_reply
+        port.rtt_listeners.append(on_reply)
         self._server_of[name] = server_index
 
     def payload(self) -> Dict[str, Any]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.datacenter import DatacenterConfig
+from repro.cluster.frontend import FrontendConfig
 from repro.cluster.simulation import Cluster, ExperimentConfig, run_experiment
 from repro.harness.settings import RunSettings
 from repro.sim.units import MS
@@ -64,6 +65,39 @@ class TestRunWindow:
     def test_zero_warmup_and_drain_run(self):
         result = run_experiment(quick_config(warmup_ns=0, drain_ns=0))
         assert result.requests_sent > 0
+
+
+def frontend_datacenter(**fields):
+    return DatacenterConfig(
+        frontend=FrontendConfig(n_users=100, burst_size=10), **fields
+    )
+
+
+WORKLOADS = {
+    "experiment": ExperimentConfig,
+    "datacenter": DatacenterConfig,
+    "frontend": frontend_datacenter,
+}
+
+
+class TestWorkloadFields:
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            ("experiment", "app", "bogus"),
+            ("experiment", "target_rps", 0.0),
+            ("experiment", "n_clients", 0),
+            ("experiment", "burst_size", 0),
+            ("datacenter", "app", "bogus"),
+            ("datacenter", "total_rps", 0.0),
+            ("datacenter", "clients_per_server", 0),
+            ("frontend", "total_rps", 0.0),
+        ],
+    )
+    def test_bad_field_rejected_naming_it(self, kind, field, value):
+        # Rejected on construction, before any simulator is built.
+        with pytest.raises(ValueError, match=field):
+            WORKLOADS[kind](**{field: value})
 
 
 class TestRun:

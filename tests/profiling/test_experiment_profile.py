@@ -37,12 +37,15 @@ class TestProfileObserver:
         assert share == pytest.approx(1.0, abs=0.01)
 
     def test_explicit_profiler_instance_is_used(self, config):
+        # Building schedules nothing, so a profiler of the caller's own,
+        # attached after construction, still times every event.
+        cluster = Cluster(config)
+        assert cluster.sim.heap_size() == 0
         profiler = SimProfiler()
-        cluster = Cluster(config, profile=profiler)
-        assert cluster.profiler is profiler
+        profiler.attach(cluster.sim)
         result = cluster.run()
-        assert result.profile is not None
-        assert result.profile.events == profiler.events
+        assert result.profile is None
+        assert profiler.profile().events == cluster.sim.events_executed
 
     def test_profile_never_in_config_hash(self, config):
         # The observer changes nothing about the run's identity: the
