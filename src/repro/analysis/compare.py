@@ -348,10 +348,6 @@ def compare(
 # -- reports -----------------------------------------------------------------
 
 
-def _fmt_ms(value_ns: float) -> str:
-    return f"{value_ns / 1e6:.3f}"
-
-
 def format_compare_report(
     diffs: Sequence[PairedDiff], title: Optional[str] = None
 ) -> str:

@@ -7,7 +7,7 @@ objects (per policy) and renders the paper-style tail-blame tables
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.attribution import COMPONENTS, AttributionReport
 from repro.metrics.report import format_table
@@ -75,8 +75,3 @@ def format_attribution_report(
     summary = "\n".join(pm_lines)
     return f"{title}\n\n{body}\n\nPower-management blame at the tail:\n{summary}\n"
 
-
-def flat_attribution_rows(report: AttributionReport) -> List[List[str]]:
-    """Record-style rows (name, value) for exports and debugging."""
-    flat: Dict[str, float] = report.to_flat_dict()
-    return [[key, f"{value:.3f}"] for key, value in sorted(flat.items())]

@@ -404,7 +404,7 @@ class ShardedDatacenterRun:
     :meth:`~repro.cluster.simulation.Observers.of`.  ``jobs`` sets the
     worker processes for the shards (None = machine default; 1 forces
     serial in-process execution, which is bit-identical) and
-    ``window_ns`` overrides the conservative sync window.
+    ``window_ns`` (at least 1 ns) overrides the conservative sync window.
     """
 
     def __init__(
@@ -417,8 +417,12 @@ class ShardedDatacenterRun:
     ):
         self.config = config
         self.observers = Observers.of(**observers).reject(SINGLE_RUN_ONLY, "a fleet run")
+        if window_ns is not None and window_ns < 1:
+            raise ValueError(f"window_ns must be at least 1 ns, got {window_ns}")
         self.plan = shard_plan(config.n_servers, config.n_shards)
-        self.window_ns = window_ns or conservative_window_ns(config)
+        self.window_ns = (
+            conservative_window_ns(config) if window_ns is None else window_ns
+        )
         if config.frontend is not None:
             self._dispatch_ns = config.frontend.dispatch_latency_ns
             if self.window_ns > self._dispatch_ns:

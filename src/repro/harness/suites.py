@@ -77,14 +77,17 @@ def event_kernel(profiler: Optional[SimProfiler]) -> ScenarioStats:
 
 def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """Timer re-arm/cancel churn: 40K batched ticks re-arming a
-    far-future timer every 8th tick, plus interior + tail cancels every
-    round (~5K re-arms and 1.6K explicit cancels per run).
+    far-future timer every 8th tick, plus two cancels of fresh
+    far-future timers four times a round (~5K re-arms and 1.6K explicit
+    cancels per run).
 
-    The re-arms take the :meth:`~repro.sim.kernel.Simulator.reschedule`
-    fast path (tail unlink + object reuse); each of the 200 rounds also
-    cancels interior events (lazy tombstones — keeps the compaction
-    machinery hot) and tail events (eager unlink).  The counters pin
-    all three cancellation paths as well as their cost.
+    Most re-arms find the timer in the heap's last slot and take the
+    :meth:`~repro.sim.kernel.Simulator.reschedule` fast path (unlink +
+    object reuse); the rest leave a tombstone.  Of each cancelled pair,
+    the earlier timer becomes a lazy tombstone (keeping the compaction
+    machinery hot) and the later one, in the last slot, is unlinked at
+    once.  The counters pin all three cancellation paths as well as
+    their cost.
     """
     sim = _simulator(profiler)
     count = [0]
@@ -111,8 +114,8 @@ def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
             for _ in range(4):
                 interior = sim.schedule(far, cancelled_noop)
                 tail = sim.schedule(far, cancelled_noop)
-                interior.cancel()  # lazy tombstone (tail sits behind it)
-                tail.cancel()  # eager tail unlink
+                interior.cancel()  # lazy tombstone (tail holds the last slot)
+                tail.cancel()  # last-slot unlink
             sim.schedule_batch(10, batch, tick)
             sim.schedule(10, arm)
 
@@ -125,9 +128,10 @@ def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
 def chained_timers(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """100K chained single events — the pre-batch dispatch baseline.
 
-    One event in flight at a time, rescheduling itself: the worst case
-    for any calendar scheduler (no batching to amortize) and the shape
-    of the old ``event_kernel`` scenario, kept for continuity.
+    One event in flight at a time, scheduling its successor: one heap
+    push and pop per event with nothing to amortize them over (no
+    batching), and the shape of the old ``event_kernel`` scenario, kept
+    for continuity.
     """
     sim = _simulator(profiler)
     count = [0]

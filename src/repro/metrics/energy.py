@@ -29,21 +29,3 @@ def average_power_w(report: EnergyReport, window_ns: int) -> float:
         raise ValueError("window must be positive")
     return report.energy_j / (window_ns * 1e-9)
 
-
-#: Meter modes a core occupies while idle (C0 polling plus the C-states),
-#: i.e. everything that is neither RUN, a DVFS stall, nor a transition.
-IDLE_MODES = ("idle", "C1", "C3", "C6")
-
-
-def idle_energy_j(report: EnergyReport) -> float:
-    """Joules the report spent in idle modes (C0 poll + C-states)."""
-    return sum(report.energy_by_mode_j.get(key, 0.0) for key in IDLE_MODES)
-
-
-def mode_conservation_error_j(report: EnergyReport) -> float:
-    """Signed error between the per-mode energy split and the integral.
-
-    Zero up to float rounding for any single-meter (or merged) report;
-    the energy-attribution conservation invariant builds on this.
-    """
-    return sum(report.energy_by_mode_j.values()) - report.energy_j

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -19,24 +19,14 @@ class LatencyStats:
     p95_ns: float
     p99_ns: float
     max_ns: float
-    #: Streaming sketch of the full population when one was available
-    #: (``from_values`` builds one; ``from_sketch`` keeps the original).
-    #: Enables arbitrary :meth:`percentile` queries; not part of the
-    #: stats' identity (excluded from equality) and absent on instances
-    #: rebuilt from serialized records.
-    sketch: Optional[object] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_values(cls, values_ns: Sequence[float]) -> "LatencyStats":
         if len(values_ns) == 0:
             return cls(0, float("nan"), float("nan"), float("nan"),
                        float("nan"), float("nan"), float("nan"))
-        from repro.analysis.sketch import StreamingSketch
-
         arr = np.asarray(values_ns, dtype=np.float64)
         p50, p90, p95, p99 = np.percentile(arr, [50, 90, 95, 99])
-        sketch = StreamingSketch()
-        sketch.extend(arr.tolist())
         return cls(
             count=int(arr.size),
             mean_ns=float(arr.mean()),
@@ -45,7 +35,6 @@ class LatencyStats:
             p95_ns=float(p95),
             p99_ns=float(p99),
             max_ns=float(arr.max()),
-            sketch=sketch,
         )
 
     @classmethod
@@ -66,17 +55,16 @@ class LatencyStats:
             p95_ns=float(sketch.quantile(95)),
             p99_ns=float(sketch.quantile(99)),
             max_ns=float(sketch.max),
-            sketch=sketch,
         )
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (``q`` in [0, 100]).
 
         The canned percentiles (50/90/95/99) are returned directly; any
-        other ``q`` is answered by the attached sketch when present, and
-        otherwise by monotone interpolation over the canned anchors (with
-        ``q`` below 50 clamped to p50 — records do not retain the lower
-        half of the distribution).
+        other ``q`` is answered by monotone interpolation over the canned
+        anchors and the max (with ``q`` below 50 clamped to p50 — the
+        summary does not retain the lower half of the distribution), so
+        live stats and stats rebuilt from a record agree.
         """
         table = {50: self.p50_ns, 90: self.p90_ns, 95: self.p95_ns, 99: self.p99_ns}
         key = int(q) if float(q).is_integer() else None
@@ -86,8 +74,6 @@ class LatencyStats:
             raise ValueError(f"percentile {q} outside [0, 100]")
         if self.count == 0:
             return float("nan")
-        if self.sketch is not None:
-            return float(self.sketch.quantile(q))
         anchors = [(50.0, self.p50_ns), (90.0, self.p90_ns),
                    (95.0, self.p95_ns), (99.0, self.p99_ns),
                    (100.0, self.max_ns)]

@@ -106,7 +106,7 @@ class LoopProfile:
     max_heap_depth: int = 0
     final_heap_size: int = 0
     cancelled_pops: int = 0
-    #: Cancelled events eagerly unlinked by the wheel's tail fast path
+    #: Cancelled events unlinked at once from the heap's last slot
     #: (never entered the lazy-tombstone machinery).
     cancelled_unlinked: int = 0
     compactions: int = 0

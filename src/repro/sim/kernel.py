@@ -1,54 +1,35 @@
 """Deterministic discrete-event simulation kernel.
 
-The kernel is a two-tier calendar queue (a timing-wheel / calendar-queue
-hybrid) with same-timestamp batch dispatch:
-
-- :class:`Event` — a scheduled callback, cancellable in O(1).
-- :class:`Simulator` — the production scheduler.  Near-future events
-  (before the *overflow horizon*) live in exact-timestamp buckets — a
-  dict keyed by firing time plus an int min-heap of bucket times — so
-  the inner loop pops one integer per *timestamp*, not one Python object
-  per *event*.  Far-future events (at or past the horizon) sit in an
-  unsorted overflow list with O(1) append and O(1) tail removal; the
-  overflow is sorted and folded into the wheel only when the wheel
-  drains, advancing the horizon.
-The classic binary-heap scheduler the wheel replaced lives on in the
-test suite (``tests/sim/heap_reference.py``) as the differential-parity
-reference: same API, same observable behaviour (event order, seq
-consumption, results).
+:class:`Simulator` keeps one binary min-heap (``heapq``) of ``(time,
+seq, entry)`` tuples.  ``seq`` is unique, so Python orders the tuples
+by C-level int compares of ``time``, then ``seq``, and never compares
+entries.  An entry is an :class:`Event` (a cancellable callback), the
+``(fn, args)`` pair one :meth:`Simulator.schedule_many` call shares
+across its timestamps, or a batch of same-timestamp calls from
+:meth:`Simulator.schedule_batch`, dispatched under one clock write.
+The naive heap of events in ``tests/sim/heap_reference.py`` is the
+differential-parity oracle: same API, same observable behaviour (event
+order, seq consumption, results).
 
 Determinism guarantees:
 
 - Time is an integer; no float drift can reorder events.
-- Ties at the same timestamp fire in scheduling order (a monotonically
-  increasing sequence number breaks ties; bucket order is insertion
-  order, which is seq order).
-- Callbacks scheduled *during* an event at the current time run after
-  all previously scheduled events at that time.
-- ``stop()`` halts dispatch after the current event — mid-bucket and
-  mid-batch included; the unconsumed remainder is requeued ahead of any
-  same-timestamp events scheduled while the bucket was dispatching.
+- Ties fire in scheduling order: every logical event consumes one
+  sequence number.  Callbacks scheduled *during* an event at the
+  current time run after all previously scheduled events at that time.
+- ``stop()`` halts dispatch after the current call, mid-batch included.
+  The rest of a stopped batch, or of one whose call raised, goes back
+  on the heap under its next unused sequence number, ahead of any
+  same-timestamp entry scheduled later.
 
-Bulk entrypoints (the batch layer):
-
-- :meth:`Simulator.schedule_many` — bulk fire-and-forget scheduling of
-  one callback at many timestamps; entries share a single tuple, no
-  per-event :class:`Event` allocation.
-- :meth:`Simulator.schedule_batch` — ``count`` same-timestamp calls as
-  one bucket entry with a precomputed handler binding; the dispatch
-  loop does one clock update for the whole batch.
-- :meth:`Simulator.reschedule` — re-arm an event in O(1): a fired or
-  tail-resident event is unlinked and its object reused; an interior
-  event falls back to tombstone-plus-fresh-event.  Semantically
-  identical to ``cancel()`` + ``schedule()``.
-
-Cancellation hygiene: a cancelled event that is the *tail* of its
-bucket (or of the overflow) is unlinked immediately (counted in
-:attr:`Simulator.cancelled_unlinked`); anything interior becomes a lazy
-tombstone skipped at dispatch (:attr:`Simulator.cancelled_pops`).  The
-simulator counts live tombstones and compacts all tiers in place —
-O(n), order preserving — once they exceed
-:attr:`Simulator.COMPACT_FRACTION` of the queue.
+Cancellation: the last slot of a heap array is a leaf, so cancelling
+the event there pops it in O(1) (:attr:`Simulator.cancelled_unlinked`),
+and :meth:`Simulator.reschedule` reuses the object of an event there
+(or of one that has fired or was unlinked).  Any other cancelled event stays as a
+tombstone skipped at dispatch (:attr:`Simulator.cancelled_pops`); once
+tombstones reach :attr:`Simulator.COMPACT_FRACTION` of a queue of at
+least :attr:`Simulator.COMPACT_MIN_SIZE` call units, the heap is
+rebuilt without them in place.
 
 There is one dispatch loop, and it reads no wall clock.  The self-profiler
 (:class:`repro.profiling.SimProfiler`) times handlers from outside: it
@@ -59,7 +40,7 @@ simulator without one pays nothing for it.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -102,6 +83,7 @@ class Event:
                 self.owner._note_cancel(self)
 
     def __lt__(self, other: "Event") -> bool:
+        # Only the test suite's reference heap pushes bare events.
         if self.time != other.time:
             return self.time < other.time
         return self.seq < other.seq
@@ -112,7 +94,7 @@ class Event:
 
 
 class _Batch:
-    """``count`` same-timestamp fire-and-forget calls as one bucket entry."""
+    """``count`` same-timestamp fire-and-forget calls as one heap entry."""
 
     __slots__ = ("fn", "args", "count")
 
@@ -122,58 +104,35 @@ class _Batch:
         self.count = count
 
 
-_TUPLE = tuple
-_EVENT = Event
-
-
 class Simulator:
-    """Event-driven simulator with an integer-nanosecond clock.
+    """Event-driven simulator with an integer-nanosecond clock."""
 
-    Two-tier calendar scheduler: exact-timestamp wheel buckets indexed
-    by an int min-heap for everything before :attr:`_horizon`, an
-    unsorted overflow list for everything at or past it.  The horizon
-    only ever advances inside :meth:`_migrate` — all wheel times stay
-    strictly below it and all overflow times at or above it, so the two
-    tiers never interleave.
-    """
-
-    #: Compact once cancelled tombstones exceed this fraction of the queue.
+    #: Compact once cancelled tombstones reach this fraction of the queue.
     COMPACT_FRACTION = 0.5
     #: ... but never bother below this queue size (compaction is O(n)).
     COMPACT_MIN_SIZE = 64
-    #: Width of the near-future window serviced by the wheel.  Events
-    #: scheduled further out stage in the overflow list until the wheel
-    #: drains.  ~2.1 simulated milliseconds: wide enough to hold every
-    #: periodic timer in the model (ITR, governor ticks, burst periods),
-    #: narrow enough that the due-heap stays small.
-    OVERFLOW_SPAN_NS = 1 << 21
 
     def __init__(self) -> None:
-        #: firing time -> list of entries (Event | (fn, args) | _Batch),
-        #: in seq order.  Only times < _horizon.
-        self._wheel: Dict[int, list] = {}
-        #: Min-heap of (possibly stale) wheel bucket times.
-        self._due: List[int] = []
-        #: Unsorted far-future staging: (time, seq, entry) records.
-        self._overflow: List[Tuple[int, int, Any]] = []
-        self._horizon: int = self.OVERFLOW_SPAN_NS
+        #: Min-heap of ``(time, seq, entry)``; entry is an Event, a
+        #: ``(fn, args)`` pair or a _Batch.
+        self._heap: List[Tuple[int, int, Any]] = []
+        #: ``count - 1`` summed over queued batches, so the queue holds
+        #: ``len(_heap) + _batched`` call units.
+        self._batched: int = 0
         self._now: int = 0
         self._seq: int = 0
-        #: Scheduled call units physically queued (tombstones included;
-        #: a _Batch counts as its ``count``).
-        self._size: int = 0
         self._running = False
         self._stopped = False
         self.events_executed: int = 0
         #: Cancelled tombstones lazily skipped by the dispatch loop.
         self.cancelled_pops: int = 0
-        #: Cancelled events unlinked eagerly (tail-of-bucket fast path).
+        #: Cancelled events popped from the heap's last slot at once.
         self.cancelled_unlinked: int = 0
         #: In-place queue rebuilds triggered by cancellation pressure.
         self.compactions: int = 0
         #: Cancelled events removed by those compactions.
         self.compacted_events: int = 0
-        #: Exact count of cancelled tombstones still linked in the queue.
+        #: Exact count of cancelled tombstones still in the heap.
         self._cancelled_in_heap: int = 0
 
     # -- clock ---------------------------------------------------------
@@ -190,18 +149,9 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
         time = self._now + int(delay)
-        self._seq += 1
-        event = Event(time, self._seq, fn, args, self)
-        if time < self._horizon:
-            bucket = self._wheel.get(time)
-            if bucket is None:
-                self._wheel[time] = [event]
-                heapq.heappush(self._due, time)
-            else:
-                bucket.append(event)
-        else:
-            self._overflow.append((time, self._seq, event))
-        self._size += 1
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
@@ -211,18 +161,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} ns; now is t={self._now} ns"
             )
-        self._seq += 1
-        event = Event(time, self._seq, fn, args, self)
-        if time < self._horizon:
-            bucket = self._wheel.get(time)
-            if bucket is None:
-                self._wheel[time] = [event]
-                heapq.heappush(self._due, time)
-            else:
-                bucket.append(event)
-        else:
-            self._overflow.append((time, self._seq, event))
-        self._size += 1
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def call_now(self, fn: Callable[..., None], *args: Any) -> Event:
@@ -240,43 +181,29 @@ class Simulator:
         :class:`Event` objects are created — the entries cannot be
         cancelled.  Returns the number of calls scheduled.
         """
-        wheel = self._wheel
-        due = self._due
-        overflow = self._overflow
+        heap = self._heap
         push = heapq.heappush
-        horizon = self._horizon
         now = self._now
         entry = (fn, args)
-        seq = self._seq
-        n = 0
-        for t in times:
-            t = int(t)
-            if t < now:
-                self._seq = seq
-                self._size += n
-                raise SimulationError(
-                    f"cannot schedule at t={t} ns; now is t={now} ns"
-                )
-            seq += 1
-            if t < horizon:
-                bucket = wheel.get(t)
-                if bucket is None:
-                    wheel[t] = [entry]
-                    push(due, t)
-                else:
-                    bucket.append(entry)
-            else:
-                overflow.append((t, seq, entry))
-            n += 1
-        self._seq = seq
-        self._size += n
-        return n
+        first = seq = self._seq
+        try:
+            for t in times:
+                t = int(t)
+                if t < now:
+                    raise SimulationError(
+                        f"cannot schedule at t={t} ns; now is t={now} ns"
+                    )
+                seq += 1
+                push(heap, (t, seq, entry))
+        finally:
+            self._seq = seq
+        return seq - first
 
     def schedule_batch(
         self, delay: int, count: int, fn: Callable[..., None], *args: Any
     ) -> int:
         """Schedule ``count`` fire-and-forget ``fn(*args)`` calls ``delay``
-        ns from now, as a single bucket entry.
+        ns from now, as a single heap entry.
 
         Consumes ``count`` sequence numbers (the batch occupies the same
         ordering slots as ``count`` individual ``schedule`` calls) and
@@ -288,19 +215,10 @@ class Simulator:
         if count <= 0:
             raise SimulationError(f"batch count must be positive, got {count}")
         time = self._now + int(delay)
-        first_seq = self._seq + 1
+        seq = self._seq + 1
         self._seq += count
-        entry = _Batch(fn, args, count)
-        if time < self._horizon:
-            bucket = self._wheel.get(time)
-            if bucket is None:
-                self._wheel[time] = [entry]
-                heapq.heappush(self._due, time)
-            else:
-                bucket.append(entry)
-        else:
-            self._overflow.append((time, first_seq, entry))
-        self._size += count
+        self._batched += count - 1
+        heapq.heappush(self._heap, (time, seq, _Batch(fn, args, count)))
         return count
 
     def reschedule(self, event: Event, delay: int) -> Event:
@@ -308,87 +226,37 @@ class Simulator:
 
         Semantically identical to ``event.cancel()`` followed by
         ``schedule(delay, event.fn, *event.args)`` — one sequence number
-        is consumed either way — but O(1) when the event has already
-        fired or sits at the tail of its bucket: the Event object is
-        unlinked and reused with no allocation and no tombstone.  Always
+        is consumed either way — but the Event object is reused, with
+        no allocation and no tombstone, when the event has already
+        fired, was unlinked, or sits in the heap's last slot.  Always
         use the *returned* event for the next re-arm.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
         time = self._now + int(delay)
+        heap = self._heap
         if event._queued:
-            if event.cancelled:
-                # Tombstone still linked elsewhere: reusing the object
-                # would resurrect it in place.  Schedule fresh.
+            if event.cancelled or heap[-1][2] is not event:
+                # A tombstone stays in place; reusing its object would
+                # resurrect it there.
+                if not event.cancelled:
+                    event.cancelled = True
+                    self._lazy_cancel()
                 return self.schedule_at(time, event.fn, *event.args)
-            etime = event.time
-            if etime >= self._horizon:
-                overflow = self._overflow
-                if overflow and overflow[-1][2] is event:
-                    # Tail unlink + reuse: net queue size is unchanged
-                    # and the event's flags are already clean.
-                    overflow.pop()
-                    seq = self._seq + 1
-                    self._seq = seq
-                    event.time = time
-                    event.seq = seq
-                    if time < self._horizon:
-                        bucket = self._wheel.get(time)
-                        if bucket is None:
-                            self._wheel[time] = [event]
-                            heapq.heappush(self._due, time)
-                        else:
-                            bucket.append(event)
-                    else:
-                        overflow.append((time, seq, event))
-                    return event
-            else:
-                bucket = self._wheel.get(etime)
-                if bucket is not None and bucket[-1] is event:
-                    bucket.pop()
-                    if not bucket:
-                        del self._wheel[etime]
-                    seq = self._seq + 1
-                    self._seq = seq
-                    event.time = time
-                    event.seq = seq
-                    if time < self._horizon:
-                        bucket = self._wheel.get(time)
-                        if bucket is None:
-                            self._wheel[time] = [event]
-                            heapq.heappush(self._due, time)
-                        else:
-                            bucket.append(event)
-                    else:
-                        self._overflow.append((time, seq, event))
-                    return event
-            # Interior: tombstone in place, arm a fresh event.
-            event.cancelled = True
-            self._lazy_cancel()
-            return self.schedule_at(time, event.fn, *event.args)
-        # Previously fired or cancelled-and-unlinked: reuse the object.
-        self._seq += 1
+            heap.pop()
+        self._seq = seq = self._seq + 1
         event.time = time
-        event.seq = self._seq
+        event.seq = seq
         event.cancelled = False
         event._queued = True
-        if time < self._horizon:
-            bucket = self._wheel.get(time)
-            if bucket is None:
-                self._wheel[time] = [event]
-                heapq.heappush(self._due, time)
-            else:
-                bucket.append(event)
-        else:
-            self._overflow.append((time, self._seq, event))
-        self._size += 1
+        heapq.heappush(heap, (time, seq, event))
         return event
 
     # -- queue hygiene ---------------------------------------------------
 
     def heap_size(self) -> int:
         """Call units currently queued, cancelled tombstones included."""
-        return self._size
+        return len(self._heap) + self._batched
 
     @property
     def cancelled_pending(self) -> int:
@@ -399,127 +267,47 @@ class Simulator:
         """Called by :meth:`Event.cancel` (``event.cancelled`` already set)."""
         if not event._queued:
             return  # already fired or unlinked; nothing to remove
-        time = event.time
-        if time >= self._horizon:
-            overflow = self._overflow
-            if overflow and overflow[-1][2] is event:
-                overflow.pop()
-                event._queued = False
-                self._size -= 1
-                self.cancelled_unlinked += 1
-                return
+        heap = self._heap
+        if heap[-1][2] is event:
+            heap.pop()
+            event._queued = False
+            self.cancelled_unlinked += 1
         else:
-            bucket = self._wheel.get(time)
-            if bucket is not None and bucket[-1] is event:
-                bucket.pop()
-                event._queued = False
-                self._size -= 1
-                self.cancelled_unlinked += 1
-                if not bucket:
-                    del self._wheel[time]
-                return
-        self._lazy_cancel()
+            self._lazy_cancel()
 
     def _lazy_cancel(self) -> None:
-        """Account one interior tombstone; compact under pressure."""
+        """Account one tombstone; compact under pressure."""
         self._cancelled_in_heap += 1
+        size = self.heap_size()
         if (
-            self._size >= self.COMPACT_MIN_SIZE
-            and self._cancelled_in_heap >= self._size * self.COMPACT_FRACTION
+            size >= self.COMPACT_MIN_SIZE
+            and self._cancelled_in_heap >= size * self.COMPACT_FRACTION
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled tombstones from every tier, in place.
+        """Drop cancelled tombstones and re-heapify, in place.
 
-        In place matters: the dispatch loop holds local aliases to the
-        wheel dict, due heap, and overflow list, so those objects must
-        survive compaction.  Bucket order is preserved, so live-event
-        ordering is unchanged.
+        In place matters: the dispatch loop holds a local alias to the
+        heap list, so the list object must survive compaction.
         """
-        removed = 0
-        wheel = self._wheel
-        for time in list(wheel):
-            bucket = wheel[time]
-            kept = [
-                e
-                for e in bucket
-                if e.__class__ is not Event or not e.cancelled
-            ]
-            if len(kept) != len(bucket):
-                removed += len(bucket) - len(kept)
-                if kept:
-                    wheel[time] = kept
-                else:
-                    del wheel[time]
-        # Rebuild the due-heap from live bucket times; stale times from
-        # emptied buckets drop out here.
-        self._due[:] = list(wheel)
-        heapq.heapify(self._due)
-        overflow = self._overflow
-        kept_overflow = [
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [
             rec
-            for rec in overflow
+            for rec in heap
             if rec[2].__class__ is not Event or not rec[2].cancelled
         ]
-        removed += len(overflow) - len(kept_overflow)
-        overflow[:] = kept_overflow
-        self._size -= removed
+        heapq.heapify(heap)
         self.compactions += 1
-        self.compacted_events += removed
+        self.compacted_events += before - len(heap)
         self._cancelled_in_heap = 0
-
-    def _migrate(self) -> None:
-        """Fold the nearest overflow span into the wheel.
-
-        Only called when the wheel is empty, so ordering cannot be
-        violated: the horizon advances to ``min(overflow time) + span``
-        and exactly the records below it move, sorted by (time, seq) so
-        bucket insertion order remains seq order.  This is the *only*
-        place the horizon changes.
-        """
-        overflow = self._overflow
-        t_min = min(rec[0] for rec in overflow)
-        new_horizon = t_min + self.OVERFLOW_SPAN_NS
-        moved = []
-        kept = []
-        for rec in overflow:
-            if rec[0] < new_horizon:
-                moved.append(rec)
-            else:
-                kept.append(rec)
-        moved.sort(key=lambda rec: (rec[0], rec[1]))
-        wheel = self._wheel
-        due = self._due
-        push = heapq.heappush
-        for time, _seq, entry in moved:
-            bucket = wheel.get(time)
-            if bucket is None:
-                wheel[time] = [entry]
-                push(due, time)
-            else:
-                bucket.append(entry)
-        overflow[:] = kept
-        self._horizon = new_horizon
 
     # -- execution -------------------------------------------------------
 
     def stop(self) -> None:
-        """Stop the currently running :meth:`run` after the current event."""
+        """Stop the currently running :meth:`run` after the current call."""
         self._stopped = True
-
-    def _requeue(self, time: int, rest: list) -> None:
-        """Put an unconsumed bucket remainder back at the front of ``time``.
-
-        Entries scheduled at ``time`` *during* the dispatch of this
-        bucket carry higher seqs, so the remainder is prepended.
-        """
-        bucket = self._wheel.get(time)
-        if bucket is None:
-            self._wheel[time] = rest
-            heapq.heappush(self._due, time)
-        else:
-            bucket[:0] = rest
 
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue empties or the clock passes ``until``.
@@ -532,97 +320,48 @@ class Simulator:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        wheel = self._wheel
-        due = self._due
-        pop_due = heapq.heappop
+        heap = self._heap
+        pop = heapq.heappop
         executed = self.events_executed
         try:
-            while not self._stopped:
-                if not due:
-                    if not self._overflow:
-                        break
-                    self._migrate()
-                    continue
-                time = due[0]
-                bucket = wheel.get(time)
-                if bucket is None:
-                    pop_due(due)  # stale: bucket emptied by unlink/compact
-                    continue
-                if until is not None and time > until:
+            while heap and not self._stopped:
+                if until is not None and heap[0][0] > until:
                     break
-                pop_due(due)
-                del wheel[time]
-                # Drain leading tombstones before touching the clock: a
-                # bucket that turns out to be all-cancelled must not
-                # advance ``now`` (parity with the heap, where cancelled
-                # pops never set the clock).
-                i = 0
-                n = len(bucket)
-                consumed = 0
-                while i < n:
-                    e = bucket[i]
-                    if e.__class__ is not _EVENT or not e.cancelled:
-                        break
-                    i += 1
-                    consumed += 1
-                    self.cancelled_pops += 1
-                    if self._cancelled_in_heap > 0:
+                time, seq, e = pop(heap)
+                cls = e.__class__
+                if cls is Event:
+                    if e.cancelled:
+                        # A tombstone never moves the clock.
+                        self.cancelled_pops += 1
                         self._cancelled_in_heap -= 1
-                if i == n:
-                    self._size -= consumed
-                    continue
-                self._now = time
-                try:
-                    while i < n:
-                        e = bucket[i]
-                        cls = e.__class__
-                        if cls is _TUPLE:
-                            i += 1
-                            consumed += 1
-                            executed += 1
-                            e[0](*e[1])
+                        continue
+                    e._queued = False
+                    self._now = time
+                    executed += 1
+                    e.fn(*e.args)
+                elif cls is tuple:
+                    self._now = time
+                    executed += 1
+                    e[0](*e[1])
+                else:
+                    self._now = time
+                    fn, args, count = e.fn, e.args, e.count
+                    self._batched -= count - 1
+                    # Each call consumes its slot before it runs, so a
+                    # call that raises is not repeated.
+                    done = 0
+                    try:
+                        while done < count:
+                            done += 1
+                            fn(*args)
                             if self._stopped:
                                 break
-                        elif cls is _Batch:
-                            fn = e.fn
-                            args = e.args
-                            k = e.count
-                            j = 0
-                            try:
-                                while j < k:
-                                    fn(*args)
-                                    j += 1
-                                    if self._stopped:
-                                        break
-                            finally:
-                                consumed += j
-                                executed += j
-                                if j < k:
-                                    e.count = k - j
-                            if j < k:
-                                break  # stopped mid-batch; e stays at bucket[i]
-                            i += 1
-                            if self._stopped:
-                                break
-                        else:
-                            i += 1
-                            if e.cancelled:
-                                consumed += 1
-                                self.cancelled_pops += 1
-                                if self._cancelled_in_heap > 0:
-                                    self._cancelled_in_heap -= 1
-                                continue
-                            e._queued = False
-                            consumed += 1
-                            executed += 1
-                            e.fn(*e.args)
-                            if self._stopped:
-                                break
-                finally:
-                    self.events_executed = executed
-                    self._size -= consumed
-                    if i < n:
-                        self._requeue(time, bucket[i:])
+                    finally:
+                        executed += done
+                        if done < count:
+                            e.count = count - done
+                            self._batched += e.count - 1
+                            heapq.heappush(heap, (time, seq + done, e))
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
         finally:
@@ -633,60 +372,18 @@ class Simulator:
     def peek_next_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or None if the queue is empty.
 
-        Drains (physically unlinks) any cancelled tombstones at the
-        front of the queue on the way, migrating the overflow if the
-        wheel is empty.
+        Pops any cancelled tombstones at the front of the queue on the way.
         """
-        wheel = self._wheel
-        due = self._due
-        while True:
-            while due:
-                time = due[0]
-                bucket = wheel.get(time)
-                if bucket is None:
-                    heapq.heappop(due)
-                    continue
-                i = 0
-                n = len(bucket)
-                while (
-                    i < n
-                    and bucket[i].__class__ is Event
-                    and bucket[i].cancelled
-                ):
-                    i += 1
-                if i:
-                    del bucket[:i]
-                    self.cancelled_pops += i
-                    self._cancelled_in_heap -= min(i, self._cancelled_in_heap)
-                    self._size -= i
-                if bucket:
-                    return time
-                del wheel[time]
-                heapq.heappop(due)
-            if not self._overflow:
-                return None
-            self._migrate()
+        heap = self._heap
+        while heap:
+            time, _seq, e = heap[0]
+            if e.__class__ is not Event or not e.cancelled:
+                return time
+            heapq.heappop(heap)
+            self.cancelled_pops += 1
+            self._cancelled_in_heap -= 1
+        return None
 
     def pending_count(self) -> int:
-        """Number of non-cancelled call units still queued (O(n))."""
-        total = 0
-        for bucket in self._wheel.values():
-            for e in bucket:
-                cls = e.__class__
-                if cls is Event:
-                    if not e.cancelled:
-                        total += 1
-                elif cls is _Batch:
-                    total += e.count
-                else:
-                    total += 1
-        for _time, _seq, e in self._overflow:
-            cls = e.__class__
-            if cls is Event:
-                if not e.cancelled:
-                    total += 1
-            elif cls is _Batch:
-                total += e.count
-            else:
-                total += 1
-        return total
+        """Number of non-cancelled call units still queued."""
+        return len(self._heap) + self._batched - self._cancelled_in_heap

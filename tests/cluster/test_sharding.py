@@ -109,6 +109,13 @@ class TestWindow:
                 frontend_config(), jobs=1, window_ns=2 * MS
             )
 
+    @pytest.mark.parametrize("window_ns", [0, -1])
+    def test_nonpositive_window_rejected(self, window_ns):
+        # A negative window would never let execute() return, and 0
+        # would read as "use the default".
+        with pytest.raises(ValueError, match="window_ns"):
+            ShardedDatacenterRun(client_config(), jobs=1, window_ns=window_ns)
+
 
 class TestShardParityClientMode:
     def test_shard_count_and_pool_invariance(self):

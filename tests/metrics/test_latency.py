@@ -24,17 +24,30 @@ class TestLatencyStats:
         assert stats.percentile(95) == stats.p95_ns
         assert stats.percentile(99) == stats.p99_ns
 
-    def test_percentile_arbitrary_from_sketch(self):
-        import numpy as np
+    def test_live_and_record_rebuilt_stats_agree(self):
+        # A record keeps only the summary fields, so percentile() must
+        # answer every q the same from a run's live stats and from the
+        # stats its serialized record rebuilds.
+        from repro.cluster.simulation import Cluster, ExperimentConfig
+        from repro.harness.hashing import config_hash
+        from repro.harness.record import ResultRecord
+        from repro.sim.units import MS
 
-        values = list(range(1, 10_001))
-        stats = LatencyStats.from_values(values)
-        assert stats.sketch is not None
-        for q in (75, 92.5, 99.9):
-            assert stats.percentile(q) == pytest.approx(
-                float(np.percentile(values, q)), rel=0.02
-            )
-        assert stats.percentile(100) == stats.max_ns
+        config = ExperimentConfig(
+            app="apache", policy="perf", target_rps=24_000.0,
+            warmup_ns=5 * MS, measure_ns=20 * MS, drain_ns=20 * MS, seed=1,
+        )
+        result = Cluster(config).run()
+        record = ResultRecord.from_json_dict(
+            ResultRecord.from_result(
+                result, config_hash(config), config.seed
+            ).to_json_dict()
+        )
+        live, rebuilt = result.latency, record.latency
+        assert live.count > 0
+        assert rebuilt == live
+        for q in (10, 50, 75, 92.5, 97, 99.9, 100):
+            assert rebuilt.percentile(q) == live.percentile(q)
 
     def test_percentile_interpolates_without_sketch(self):
         # Records rebuilt from JSON carry no sketch: arbitrary quantiles

@@ -178,10 +178,10 @@ class TestAttribution:
 
 def _interior_churn(sim, rounds, t=1_000_000):
     """Schedule triples at ``t`` and cancel the first two: the live third
-    entry keeps the cancelled ones *interior*, forcing the lazy tombstone
-    path (a lone or trailing cancel would be eagerly unlinked by the
-    wheel's tail fast path and never compact), and the 2/3 dead ratio
-    keeps the queue above the compaction threshold."""
+    entry holds the heap's last slot, forcing the lazy tombstone path (a
+    cancel in the last slot would be unlinked at once and never
+    compact), and the 2/3 dead ratio keeps the queue above the
+    compaction threshold."""
     for _ in range(rounds):
         doomed = [sim.schedule(t, lambda: None) for _ in range(2)]
         sim.schedule(t, lambda: None)
@@ -195,7 +195,7 @@ class TestHeapHealth:
         profiler = SimProfiler()
         profiler.attach(sim)
         dead = [sim.schedule(5, lambda: None) for _ in range(8)]
-        sim.schedule(5, lambda: None)  # live tail keeps the dead interior
+        sim.schedule(5, lambda: None)  # keeps the dead out of the last slot
         sim.schedule(50, lambda: None)
         for event in dead:
             event.cancel()
@@ -213,7 +213,7 @@ class TestHeapHealth:
 
         def churn():
             for i in range(5):
-                sim.schedule(5 + i, lambda: None).cancel()  # tail: unlink
+                sim.schedule(5 + i, lambda: None).cancel()  # last slot: unlink
 
         sim.schedule(1, churn)
         sim.run()

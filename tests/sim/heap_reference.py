@@ -1,10 +1,12 @@
-"""The binary-heap scheduler the timing wheel replaced: the parity oracle.
+"""A naive binary-heap scheduler: the parity oracle.
 
-:class:`HeapScheduler` keeps the pre-wheel dispatch semantics behind the
-:class:`~repro.sim.kernel.Simulator` API.  The differential tests
-(``test_parity``, ``test_kernel``, ``test_kernel_properties``) run the
-same workloads on both and diff the results; whole experiments run on it
-by swapping the ``Simulator`` name where the builder creates one.
+:class:`HeapScheduler` keeps the simplest dispatch semantics behind the
+:class:`~repro.sim.kernel.Simulator` API: a heap of :class:`Event`
+objects, one pop per call, and bulk calls as loops of single ones.  The
+differential tests (``test_parity``, ``test_kernel``,
+``test_kernel_properties``) run the same workloads on both and diff the
+results; whole experiments run on it by swapping the ``Simulator`` name
+where the builder creates one.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from repro.sim.kernel import Event, SimulationError
 class HeapScheduler:
     """The classic binary-heap scheduler, retained as the parity reference.
 
-    Byte-for-byte the pre-wheel dispatch semantics (lazy cancellation,
-    in-place compaction, one heap pop per event), extended with naive
-    equivalents of the wheel's bulk API — same sequence-number
+    Lazy cancellation, in-place compaction and one heap pop per event,
+    with naive equivalents of the bulk API (``schedule_many``,
+    ``schedule_batch``, ``reschedule``) — same sequence-number
     consumption, so event order is bit-identical to :class:`Simulator`
     and differential tests can diff the two directly.
     """

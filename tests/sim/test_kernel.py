@@ -1,10 +1,12 @@
 """Tests for the discrete-event kernel.
 
-Most behavior is contractual and must hold for both the timing-wheel
-``Simulator`` and the ``HeapScheduler`` reference — those tests
-are parametrized over the ``sim_cls`` fixture.  Cancellation *accounting*
-(eager unlink vs lazy tombstone) is implementation-specific and pinned in
-the per-kernel classes at the bottom.
+Most behavior is contractual and must hold for both the production
+``Simulator`` and the ``HeapScheduler`` reference — those tests are
+parametrized over the ``sim_cls`` fixture.  Cancellation *accounting*
+(last-slot unlink vs lazy tombstone) is implementation-specific and
+pinned in the per-kernel classes at the bottom.  Ids and names that say
+``wheel`` mean the ``Simulator``: they keep the name of the calendar
+queue it replaced, so test ids stay stable.
 """
 
 import pytest
@@ -133,6 +135,24 @@ def test_peek_next_time_skips_cancelled(sim):
     sim.schedule(9, lambda: None)
     event.cancel()
     assert sim.peek_next_time() == 9
+
+
+def test_peek_next_time_far_future(sim):
+    t = 10 * 10**9
+    sim.schedule_at(t, lambda: None)
+    assert sim.peek_next_time() == t
+
+
+def test_far_future_events_fire_in_order(sim):
+    far = 10**9
+    fired = []
+    sim.schedule(3 * far, fired.append, "far-b")
+    sim.schedule(5, fired.append, "near")
+    sim.schedule(3 * far, fired.append, "far-b2")
+    sim.schedule(2 * far, fired.append, "far-a")
+    sim.run()
+    assert fired == ["near", "far-a", "far-b", "far-b2"]
+    assert sim.now == 3 * far
 
 
 def test_pending_count(sim):
@@ -397,43 +417,78 @@ class TestRunEdgeCases:
         sim.run()
         assert fired == ["before", "after"]
 
-
-class TestWheelOverflow:
-    """Wheel-only: entries beyond the horizon stage in the overflow list
-    and migrate into exact-timestamp buckets on demand."""
-
-    def test_far_future_events_fire_in_order(self):
-        sim = Simulator()
-        span = Simulator.OVERFLOW_SPAN_NS
+    def test_exception_mid_batch_preserves_remainder(self, sim):
         fired = []
-        sim.schedule(3 * span, fired.append, "far-b")
-        sim.schedule(5, fired.append, "near")
-        sim.schedule(3 * span, fired.append, "far-b2")
-        sim.schedule(2 * span, fired.append, "far-a")
+
+        def tick(tag):
+            fired.append(tag)
+            if len(fired) == 2:
+                raise RuntimeError("handler failed")
+
+        sim.schedule_batch(10, 4, tick, "batch")
+        sim.schedule(10, fired.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["batch", "batch"]
+        # As for single events, the failed call consumed its slot: the
+        # rest of the batch runs once, ahead of the later entry.
         sim.run()
-        assert fired == ["near", "far-a", "far-b", "far-b2"]
-        assert sim.now == 3 * span
+        assert fired == ["batch"] * 4 + ["after"]
+        assert sim.events_executed == 5
 
-    def test_peek_next_time_migrates_overflow(self):
-        sim = Simulator()
-        t = 10 * Simulator.OVERFLOW_SPAN_NS
-        sim.schedule_at(t, lambda: None)
-        assert sim.peek_next_time() == t
 
-    def test_overflow_tail_cancel_unlinks_eagerly(self):
+class TestLastSlotUnlink:
+    """Simulator-only: the heap's last slot is a leaf, so the event in it
+    is unlinked on cancel and reused in place on reschedule."""
+
+    def test_cancel_latest_event_unlinks(self):
         sim = Simulator()
-        span = Simulator.OVERFLOW_SPAN_NS
-        sim.schedule(2 * span, lambda: None)
-        tail = sim.schedule(3 * span, lambda: None)
-        before = sim.cancelled_unlinked
-        tail.cancel()
-        assert sim.cancelled_unlinked == before + 1
-        assert sim.heap_size() == 1
+        sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
+        latest = sim.schedule(30, lambda: None)
+        latest.cancel()
+        assert sim.heap_size() == 2
+        assert sim.cancelled_unlinked == 1
+        assert sim.cancelled_pending == 0
+
+    def test_cancel_earlier_event_leaves_tombstone(self):
+        sim = Simulator()
+        dead = [sim.schedule(5 + i, lambda: None) for i in range(3)]
+        sim.schedule(50, lambda: None)
+        for event in dead:
+            event.cancel()
+        assert sim.cancelled_unlinked == 0
+        assert sim.cancelled_pending == 3
+        assert sim.heap_size() == 4
+        assert sim.pending_count() == 1
+
+    def test_reschedule_of_last_slot_event_reuses_it(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        last = sim.schedule(20, lambda: None)
+        assert sim.reschedule(last, 40) is last
+        assert last.time == 40
+        assert sim.heap_size() == 2
+        assert sim.cancelled_pending == 0
+
+    def test_reschedule_of_earlier_event_leaves_tombstone(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(10, fired.append, "moved")
+        sim.schedule(20, fired.append, "last")
+        moved = sim.reschedule(first, 40)
+        assert moved is not first and first.cancelled
+        assert sim.cancelled_pending == 1
+        assert sim.heap_size() == 3
+        sim.run()
+        assert fired == ["last", "moved"]
+        assert sim.cancelled_pops == 1
 
 
 class TestWheelCancellation:
-    """Wheel-only accounting: tail cancels unlink eagerly; interior
-    cancels tombstone, get popped lazily, and trigger compaction."""
+    """Simulator-only accounting: a cancel in the heap's last slot
+    unlinks at once; any other cancel leaves a tombstone that is popped
+    lazily or removed by compaction."""
 
     def test_tail_cancel_unlinks_without_tombstone(self):
         sim = Simulator()
@@ -444,21 +499,10 @@ class TestWheelCancellation:
         assert sim.cancelled_pending == 0
         assert sim.heap_size() == 1
 
-    def test_sole_bucket_entry_cancel_unlinks(self):
-        # An event alone in its bucket is, by definition, the tail.
-        sim = Simulator()
-        dead = [sim.schedule(5 + i, lambda: None) for i in range(3)]
-        sim.schedule(50, lambda: None)
-        for event in dead:
-            event.cancel()
-        assert sim.cancelled_unlinked == 3
-        assert sim.heap_size() == 1
-        assert sim.peek_next_time() == 50
-
     def test_interior_cancels_popped_lazily_during_run(self):
         sim = Simulator()
         dead = [sim.schedule(5, lambda: None) for _ in range(10)]
-        live = sim.schedule(5, lambda: None)  # keeps the dead ones interior
+        live = sim.schedule(5, lambda: None)  # keeps the dead ones out of the last slot
         sim.schedule(50, lambda: None)
         for event in dead:
             event.cancel()
@@ -470,12 +514,12 @@ class TestWheelCancellation:
     def test_peek_next_time_drains_leading_interior_cancels(self):
         sim = Simulator()
         dead = [sim.schedule(5, lambda: None) for _ in range(3)]
-        sim.schedule(5, lambda: None)  # live tail keeps them interior
+        sim.schedule(5, lambda: None)  # keeps them out of the last slot
         for event in dead:
             event.cancel()
         assert sim.heap_size() == 4
         assert sim.peek_next_time() == 5
-        # Drained, not just skipped: the tombstones left the bucket.
+        # Drained, not just skipped: the tombstones left the heap.
         assert sim.heap_size() == 1
         assert sim.cancelled_pops == 3
 
@@ -498,20 +542,27 @@ class TestWheelCancellation:
         sim = Simulator()
         fired = []
         keep = []
-        blocker = sim.schedule(6_000, lambda: None)  # keeps t=5000 cancels interior
+        blocker = sim.schedule(6_000, lambda: None)  # live, after all the others
         for i in range(200):
             keep.append(sim.schedule(10 + i, fired.append, i))
             sim.schedule(5_000, lambda: None).cancel()
         for i in range(0, 200, 2):  # cancel interleaved survivors too
             keep[i].cancel()
+        assert sim.compactions >= 1
         assert blocker.time == 6_000
         sim.run()
         assert fired == list(range(1, 200, 2))
 
     def test_small_queues_never_compact(self):
         sim = Simulator()
-        for _ in range(Simulator.COMPACT_MIN_SIZE // 2):
-            sim.schedule(10, lambda: None).cancel()
+        dead = [
+            sim.schedule(10, lambda: None)
+            for _ in range(Simulator.COMPACT_MIN_SIZE // 2)
+        ]
+        sim.schedule(20, lambda: None)  # keeps the dead ones out of the last slot
+        for event in dead:
+            event.cancel()
+        assert sim.cancelled_pending == len(dead)
         assert sim.compactions == 0
 
     def test_cancel_after_fire_does_not_corrupt_accounting(self):

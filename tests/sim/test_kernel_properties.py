@@ -1,10 +1,12 @@
 """Property-based tests for the event kernel.
 
-Every ordering property is checked on both the timing-wheel ``Simulator``
+Every ordering property is checked on both the production ``Simulator``
 and the ``HeapScheduler`` reference; the differential properties at the
 bottom drive randomized op sequences through both kernels, and through
 a ``Simulator`` with and without a ``SimProfiler`` attached, and assert
-identical traces.
+identical traces.  Ids and names that say ``wheel`` mean the
+``Simulator``: they keep the name of the calendar queue it replaced, so
+test ids stay stable.
 """
 
 import pytest
@@ -98,7 +100,6 @@ def test_run_until_is_equivalent_to_one_run(sim_cls, delays, split):
 )
 @settings(max_examples=50, deadline=None)
 def test_schedule_many_equals_loop_of_schedule_at(sim_cls, times):
-    # Times straddle the wheel's overflow horizon (1 << 21) on purpose.
     bulk = sim_cls()
     fired_bulk = []
     bulk.schedule_many(times, lambda: fired_bulk.append(bulk.now))
@@ -114,7 +115,8 @@ def test_schedule_many_equals_loop_of_schedule_at(sim_cls, times):
 
 
 # ---------------------------------------------------------------------------
-# Differential fuzz: random op sequences, wheel vs heap, identical traces
+# Differential fuzz: random op sequences, Simulator vs the reference heap,
+# identical traces
 # ---------------------------------------------------------------------------
 
 _OPS = st.lists(
@@ -125,6 +127,11 @@ _OPS = st.lists(
         st.tuples(st.just("cancel"), st.integers(0, 63)),
         st.tuples(st.just("reschedule"), st.integers(0, 63), st.integers(0, 10**6)),
         st.tuples(st.just("run_until"), st.integers(0, 1 << 23)),
+        # A batch whose every call stops the run: each stop pushes the
+        # rest of the batch back onto the queue.
+        st.tuples(st.just("stop"), st.integers(0, 10**6), st.integers(1, 4)),
+        # A handler that cancels a handle while the loop dispatches.
+        st.tuples(st.just("cancel_later"), st.integers(0, 10**6), st.integers(0, 63)),
     ),
     min_size=1,
     max_size=60,
@@ -140,6 +147,14 @@ def _apply_ops(sim_cls, ops, profiler=None):
 
     def fire(tag):
         trace.append((sim.now, tag))
+
+    def stop(tag):
+        trace.append((sim.now, tag, "stop"))
+        sim.stop()
+
+    def cancel_later(tag, k):
+        trace.append((sim.now, tag, "cancel"))
+        handles[k % len(handles)].cancel()
 
     for i, op in enumerate(ops):
         kind = op[0]
@@ -158,7 +173,13 @@ def _apply_ops(sim_cls, ops, profiler=None):
                 handles[idx] = sim.reschedule(handles[idx], op[2])
         elif kind == "run_until":
             sim.run(until=max(sim.now, op[1]))
-    sim.run()
+        elif kind == "stop":
+            sim.schedule_batch(op[1], op[2], stop, i)
+        elif kind == "cancel_later":
+            handles.append(sim.schedule(op[1], cancel_later, i, op[2]))
+    # The script runs on after every stop until the queue drains.
+    while sim.peek_next_time() is not None:
+        sim.run()
     return trace, sim.now, sim.events_executed
 
 

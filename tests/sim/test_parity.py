@@ -1,8 +1,10 @@
-"""Differential parity: timing-wheel ``Simulator`` vs the ``HeapScheduler`` reference.
+"""Differential parity: the ``Simulator`` vs the ``HeapScheduler`` reference.
 
-The wheel rewrite is only safe if it is *observationally identical* to the
-binary heap it replaced: same dispatch order, same simulated clock, same
-experiment results bit-for-bit.  These tests run the same workloads on both
+The production kernel (one heap of ``(time, seq, entry)`` tuples with
+batch entries, last-slot unlinks and object reuse) is only safe if it
+is *observationally identical* to the naive heap of events: same
+dispatch order, same simulated clock, same experiment results
+bit-for-bit.  These tests run the same workloads on both
 kernels and compare (pattern: the serial-vs-pool parity tests in
 ``tests/harness/test_runner.py``).
 
@@ -68,7 +70,8 @@ def _mixed_script(sim):
     # Bulk entrypoints interleaved with singles at overlapping times.
     sim.schedule_many([50, 100, 150, 150], fire_shared)
     sim.schedule_batch(150, 3, fire, "batch")
-    # Cancellation: interior (lazy tombstone) and tail (eager unlink).
+    # Cancellation: an earlier event (lazy tombstone) and the latest
+    # one (last-slot unlink).
     interior = sim.schedule(200, fire, "never-interior")
     sim.schedule(200, fire, "d")
     tail = sim.schedule(200, fire, "never-tail")
@@ -95,7 +98,7 @@ def _mixed_script(sim):
         sim.schedule_batch(25, 2, fire, "nested-batch")
 
     sim.schedule(500, nested)
-    # Far-future entries that land in the overflow tier on the wheel.
+    # Far-future entries, milliseconds after everything else.
     sim.schedule(5_000_000, fire, "far")
     sim.schedule_many([5_000_000, 5_000_001], fire_shared)
     sim.run()
@@ -104,11 +107,7 @@ def _mixed_script(sim):
 
 class TestScriptedParity:
     def test_mixed_workload_trace_identical(self):
-        wheel_trace, wheel_now, wheel_n = _mixed_script(Simulator())
-        heap_trace, heap_now, heap_n = _mixed_script(HeapScheduler())
-        assert wheel_trace == heap_trace
-        assert wheel_now == heap_now
-        assert wheel_n == heap_n
+        assert _mixed_script(Simulator()) == _mixed_script(HeapScheduler())
 
     def test_stop_and_rerun_trace_identical(self):
         def script(sim):
@@ -156,17 +155,17 @@ SCENARIOS = [event_kernel, cancel_churn, chained_timers, burst_fanout]
 class TestScenarioParity:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
     def test_events_and_simtime_identical(self, scenario, monkeypatch):
-        wheel = scenario(None)
+        kernel = scenario(None)
         monkeypatch.setattr(repro.harness.suites, "Simulator", HeapScheduler)
-        heap = scenario(None)
-        assert wheel.events == heap.events
-        assert wheel.sim_ns == heap.sim_ns
-        # Cancellation *accounting* differs by design (the wheel unlinks
-        # tails eagerly and reuses event objects on reschedule; the heap
-        # tombstones everything), so only observable state must agree:
-        # the number of live entries left behind.
-        if "final_heap" in wheel.counters:
-            assert wheel.counters["final_heap"] == heap.counters["final_heap"]
+        reference = scenario(None)
+        assert kernel.events == reference.events
+        assert kernel.sim_ns == reference.sim_ns
+        # Cancellation *accounting* differs by design (the Simulator
+        # unlinks the last slot at once and reuses event objects on
+        # reschedule; the reference tombstones everything), so only
+        # observable state must agree: the entries left behind.
+        if "final_heap" in kernel.counters:
+            assert kernel.counters["final_heap"] == reference.counters["final_heap"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +205,13 @@ def _parity_configs():
 class TestExperimentParity:
     @pytest.mark.parametrize("config", _parity_configs())
     def test_result_records_bit_identical(self, config, monkeypatch):
-        wheel = _record_json(config)
+        kernel = _record_json(config)
         monkeypatch.setattr(repro.cluster.simulation, "Simulator", HeapScheduler)
-        heap = _record_json(config)
-        assert wheel == heap
+        reference = _record_json(config)
+        assert kernel == reference
         assert (
-            hashlib.sha256(wheel.encode()).hexdigest()
-            == hashlib.sha256(heap.encode()).hexdigest()
+            hashlib.sha256(kernel.encode()).hexdigest()
+            == hashlib.sha256(reference.encode()).hexdigest()
         )
 
     def test_wheel_run_is_self_deterministic(self):
