@@ -1,7 +1,7 @@
 """Analysis layer: turn the probe stream into explanations.
 
-- :mod:`repro.analysis.sketch` — O(1)-memory streaming percentile
-  estimators (P², t-digest-style);
+- :mod:`repro.analysis.sketch` — an O(1)-memory streaming percentile
+  sketch (t-digest-style);
 - :mod:`repro.analysis.attribution` — per-request critical-path
   attribution (wire/dma/coalesce/wake/kernel/queue/service/ramp/
   preempt/io/tx) with tail blame tables;
@@ -36,7 +36,6 @@ from repro.analysis.compare import (  # noqa: F401
     format_runset_summary,
     joules_per_request,
     percentile_ci,
-    sketch_rank_halfwidth,
 )
 from repro.analysis.energy import (  # noqa: F401
     ENERGY_COMPONENTS,
@@ -51,4 +50,4 @@ from repro.analysis.report import (  # noqa: F401
     format_mean_table,
     format_tail_table,
 )
-from repro.analysis.sketch import P2Quantile, StreamingSketch  # noqa: F401
+from repro.analysis.sketch import StreamingSketch  # noqa: F401

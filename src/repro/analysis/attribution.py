@@ -23,9 +23,10 @@ io         off-CPU I/O phase (Apache disk; zero for Memcached)
 tx         reply → client receipt (kernel tx already billed in service)
 ========== =============================================================
 
-Aggregation is O(1)-memory: per-component :class:`StreamingSketch`\\ es
-plus a bounded top-K heap of the slowest requests, from which tail
-(p95/p99) blame tables are computed.  Per-request records are retained
+Aggregation is O(1)-memory: one running sum per component, a
+:class:`StreamingSketch` of the totals (its quantiles pick the tail
+threshold) and a bounded top-K heap of the slowest requests, from which
+tail (p95/p99) blame tables are computed.  Per-request records are retained
 only on request (``keep_records=True``, for tests and deep dives).
 """
 
@@ -172,9 +173,7 @@ class AttributionSink:
         self.records: List[RequestAttribution] = []
         self.conservation_violations: List[str] = []
         self.total_sketch = StreamingSketch()
-        self.component_sketches: Dict[str, StreamingSketch] = {
-            name: StreamingSketch() for name in COMPONENTS
-        }
+        self._component_sums: Dict[str, float] = dict.fromkeys(COMPONENTS, 0.0)
 
         self._spans: Dict[str, _OpenSpan] = {}
         self._done: Dict[Tuple[str, int], _ServerRecord] = {}
@@ -311,8 +310,9 @@ class AttributionSink:
         )
         self.count += 1
         self.total_sketch.add(total)
+        sums = self._component_sums
         for name in COMPONENTS:
-            self.component_sketches[name].add(comp[name])
+            sums[name] += comp[name]
         if self.keep_records:
             self.records.append(record)
         self._seq += 1
@@ -395,7 +395,7 @@ class AttributionSink:
                 component_mean_ns={}, tails={}, unmatched=self.unmatched_rtts,
             )
         component_mean = {
-            name: sketch.mean for name, sketch in self.component_sketches.items()
+            name: total / self.count for name, total in self._component_sums.items()
         }
         tails: Dict[str, TailAttribution] = {}
         for p in percentiles:

@@ -22,16 +22,6 @@ error ``sqrt(n * q * (1 - q))``.  :func:`percentile_ci` maps the
 p50/p90/p95/p99/max) back to latency values.  A paired delta is
 *significant* when it exceeds the root-sum-square of the two runs' CI
 half-widths.
-
-Sketch error bound
-------------------
-A :class:`~repro.analysis.sketch.StreamingSketch` (the attribution
-tables, ``LatencyStats.from_sketch``) answers percentiles from bounded
-centroids.  The ``q(1-q)`` scale function keeps the centroid straddling
-quantile ``q`` below roughly ``4 * n * q * (1 - q) / max_centroids``
-samples, so a sketch percentile lands within that many ranks of the
-exact order statistic.  :func:`sketch_rank_halfwidth` exposes this documented bound;
-the paired-diff tests hold the sketch-vs-exact agreement to it.
 """
 
 from __future__ import annotations
@@ -76,20 +66,6 @@ def joules_per_request(record: ResultRecord) -> float:
     if record.responses_received <= 0:
         return float("nan")
     return record.energy_j / record.responses_received
-
-
-def sketch_rank_halfwidth(
-    count: int, q: float, max_centroids: int = 128
-) -> float:
-    """Documented rank-error bound of a streaming-sketch ``q``-percentile.
-
-    ``q`` is in [0, 100].  The bound is the maximum centroid weight the
-    ``q(1-q)`` scale function admits around quantile ``q`` (at least one
-    sample): a sketch percentile interpolates between centroid midpoints,
-    so it stays within this many ranks of the exact order statistic.
-    """
-    frac = q / 100.0
-    return max(1.0, 4.0 * count * frac * (1.0 - frac) / max_centroids)
 
 
 def percentile_ci(

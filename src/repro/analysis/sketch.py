@@ -1,120 +1,22 @@
-"""O(1)-memory streaming percentile sketches.
+"""O(1)-memory streaming percentile sketch.
 
-Two estimators, both bounded-memory regardless of stream length:
+:class:`StreamingSketch` is a t-digest-style merging sketch (Dunning &
+Ertl): a bounded set of centroids sized by a ``q(1-q)`` scale function,
+so resolution concentrates at the tails — exactly where tail-latency
+attribution needs it.  It answers arbitrary quantiles with exact
+count/mean/min/max, in bounded memory regardless of stream length.
 
-- :class:`P2Quantile` — the classic P² algorithm (Jain & Chlamtac, CACM
-  1985): five markers tracking a *single* quantile, strictly O(1).
-- :class:`StreamingSketch` — a t-digest-style merging sketch (Dunning &
-  Ertl): a bounded set of centroids sized by a ``q(1-q)`` scale function,
-  so resolution concentrates at the tails — exactly where tail-latency
-  attribution needs it.  Supports arbitrary quantiles, exact
-  count/mean/min/max, and lossless-ish :meth:`StreamingSketch.merge` for
-  combining per-worker sketches.
-
-They aggregate populations without holding them in memory: the
-attribution sink's per-component tables
-(:class:`~repro.analysis.attribution.AttributionSink`) and
-:meth:`repro.metrics.latency.LatencyStats.from_sketch`.
+The attribution sink (:class:`~repro.analysis.attribution.AttributionSink`)
+picks its tail thresholds from a sketch of request totals.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterable, List, Optional, Tuple
-
-
-class P2Quantile:
-    """Single-quantile P² estimator: five markers, no stored samples.
-
-    ``q`` is the target quantile as a fraction in (0, 1), e.g. 0.99.
-    Until five observations arrive the exact order statistics are used.
-    """
-
-    __slots__ = ("q", "_n", "_heights", "_pos", "_inc")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be a fraction in (0, 1)")
-        self.q = q
-        self._n = 0
-        self._heights: List[float] = []
-        self._pos: List[float] = []
-        # Desired-position increments for the five markers.
-        self._inc = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        if self._n < 5:
-            bisect.insort(self._heights, x)
-            self._n += 1
-            if self._n == 5:
-                self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-            return
-        h, pos = self._heights, self._pos
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and not (h[k] <= x < h[k + 1]):
-                k += 1
-        self._n += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        n = self._n
-        for i in (1, 2, 3):
-            desired = 1.0 + (n - 1) * self._inc[i]
-            delta = desired - pos[i]
-            if (delta >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                delta <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                sign = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if not (h[i - 1] < candidate < h[i + 1]):
-                    candidate = self._linear(i, sign)
-                h[i] = candidate
-                pos[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._pos
-        return h[i] + sign / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + sign)
-            * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - sign)
-            * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._pos
-        j = i + int(sign)
-        return h[i] + sign * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate of the target quantile."""
-        if self._n == 0:
-            return float("nan")
-        if self._n < 5:
-            # Exact from the sorted prefix (nearest-rank interpolation).
-            rank = self.q * (self._n - 1)
-            lo = int(rank)
-            hi = min(lo + 1, self._n - 1)
-            frac = rank - lo
-            return self._heights[lo] * (1.0 - frac) + self._heights[hi] * frac
-        return self._heights[2]
+from typing import Iterable, List, Tuple
 
 
 class StreamingSketch:
-    """Mergeable t-digest-style quantile sketch with exact moments.
+    """t-digest-style quantile sketch with exact moments.
 
     Memory is bounded by ``max_centroids`` + the insertion buffer; count,
     mean, min and max are exact, quantiles are approximate with relative
@@ -151,17 +53,6 @@ class StreamingSketch:
     def extend(self, values: Iterable[float]) -> None:
         for x in values:
             self.add(x)
-
-    def merge(self, other: "StreamingSketch") -> None:
-        """Fold ``other``'s population into this sketch."""
-        self._flush()
-        other._flush()
-        self.count += other.count
-        self._sum += other._sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        merged = sorted(self._centroids + other._centroids)
-        self._centroids = self._compress(merged)
 
     def _flush(self) -> None:
         if not self._buffer:

@@ -1,5 +1,8 @@
 """Application substrate: OLDI server models and open-loop clients."""
 
+import random
+from typing import Optional
+
 from repro.apps.apache import ApacheApp, ApacheProfile
 from repro.apps.base import ServerApp
 from repro.apps.client import (
@@ -17,6 +20,37 @@ from repro.apps.workload import (
     load_level,
     sla_for,
 )
+from repro.net.driver import NICDriver
+from repro.oskernel.netstack import NetStackCosts
+from repro.oskernel.scheduler import Scheduler
+from repro.sim.kernel import Simulator
+
+
+def make_app(
+    app: str,
+    sim: Simulator,
+    scheduler: Scheduler,
+    driver: NICDriver,
+    costs: NetStackCosts,
+    rng: random.Random,
+    name: str,
+    apache_profile: Optional[ApacheProfile] = None,
+    memcached_profile: Optional[MemcachedProfile] = None,
+) -> ServerApp:
+    """The server application called ``app``, transmitting via ``driver``
+    and sharing its telemetry."""
+    if app == "apache":
+        return ApacheApp(
+            sim, scheduler, driver, costs, rng, name=name,
+            profile=apache_profile or ApacheProfile(),
+        )
+    if app == "memcached":
+        return MemcachedApp(
+            sim, scheduler, driver, costs, rng, name=name,
+            profile=memcached_profile or MemcachedProfile(),
+        )
+    raise ValueError(f"unknown app {app!r}")
+
 
 __all__ = [
     "ApacheApp",
@@ -24,6 +58,7 @@ __all__ = [
     "ServerApp",
     "OpenLoopClient",
     "http_request_factory",
+    "make_app",
     "memcached_request_factory",
     "MemcachedApp",
     "MemcachedProfile",

@@ -81,9 +81,8 @@ class ServerApp:
         self._ignored = stats.counter("ignored")
         self._span_probe = self.telemetry.probe("request.span")
         self._account_probe = self.telemetry.probe("request.account")
-        #: Optional core affinity for the *next* request's jobs.  The
-        #: per-core (multi-queue) node sets this around each delivery so a
-        #: flow's processing stays on its RSS queue's core (RFS-style).
+        #: Optional core affinity for the *next* request's jobs, set
+        #: around each delivery by :meth:`on_packet_pinned`.
         self.affinity_hint: Optional[int] = None
         #: Called with each request's server-observed latency (ns from the
         #: client send timestamp to the response hitting the NIC) — the
@@ -144,6 +143,16 @@ class ServerApp:
         if track is not None:
             job.account = track.svc
         self._scheduler.enqueue(job, core_hint=hint)
+
+    def on_packet_pinned(self, core_id: int, frame: Frame) -> None:
+        """Deliver ``frame`` with its jobs kept on ``core_id``: the sink of
+        a per-core rx queue, so a flow's processing stays on its RSS
+        queue's core (RFS-style)."""
+        self.affinity_hint = core_id
+        try:
+            self.on_packet(frame)
+        finally:
+            self.affinity_hint = None
 
     def _after_service(
         self, frame: Frame, hint: Optional[int], track: Optional[_RequestTrack]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.workload import burst_arrival_times
 from repro.net.link import LinkPort
@@ -63,7 +63,53 @@ def memcached_request_factory(
     return make
 
 
-class OpenLoopClient:
+class RequestLedger:
+    """The receive side every traffic source shares: books each request's
+    send time and turns the matching response into an RTT sample."""
+
+    def __init__(self, sim: Simulator, name: str):
+        self._sim = sim
+        self.name = name
+        self._port: Optional[LinkPort] = None
+        self.sent: Dict[int, int] = {}         # req_id -> send time
+        self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
+        #: Called as ``listener(req_id, send_ns, rtt_ns)`` on each response.
+        self.rtt_listeners: List[Callable[[int, int, int], None]] = []
+        self.requests_sent = 0
+        self.responses_received = 0
+
+    def attach_port(self, port: LinkPort) -> None:
+        self._port = port
+
+    def receive_frame(self, frame: Frame) -> None:
+        """Link delivery point (we are a NetDevice)."""
+        if frame.kind != "response" or frame.req_id is None:
+            return
+        send_ns = self.sent.pop(frame.req_id, None)
+        if send_ns is None:
+            return
+        self.responses_received += 1
+        rtt_ns = self._sim.now - send_ns
+        self.rtts.append((send_ns, rtt_ns))
+        for listener in self.rtt_listeners:
+            listener(frame.req_id, send_ns, rtt_ns)
+
+    @property
+    def outstanding(self) -> int:
+        """Requests sent and not yet answered."""
+        return len(self.sent)
+
+    def rtts_in_window(self, start_ns: int, end_ns: int) -> List[int]:
+        """RTTs of requests *sent* within [start, end)."""
+        return [rtt for send, rtt in self.rtts if start_ns <= send < end_ns]
+
+    def sent_in_window(self, start_ns: int, end_ns: int) -> int:
+        completed = sum(1 for send, _ in self.rtts if start_ns <= send < end_ns)
+        pending = sum(1 for send in self.sent.values() if start_ns <= send < end_ns)
+        return completed + pending
+
+
+class OpenLoopClient(RequestLedger):
     """A bursty open-loop traffic source and RTT recorder."""
 
     def __init__(
@@ -85,42 +131,15 @@ class OpenLoopClient:
             )
         if burst_period_ns <= 0:
             raise ValueError("burst_period_ns must be positive")
-        self._sim = sim
-        self.name = name
+        super().__init__(sim, name)
         self._factory = request_factory
         self.burst_size = burst_size
         self.burst_period_ns = burst_period_ns
         self.intra_burst_gap_ns = intra_burst_gap_ns
         self._jitter_rng = jitter_rng
         self.jitter_fraction = jitter_fraction
-        self._port: Optional[LinkPort] = None
         self._running = False
         self._burst_event: Optional[Event] = None
-
-        self.sent: dict = {}                 # req_id -> send time
-        self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
-        #: Called as ``listener(req_id, send_ns, rtt_ns)`` on each response.
-        self.rtt_listeners: List[Callable[[int, int, int], None]] = []
-        self.requests_sent = 0
-        self.responses_received = 0
-
-    # -- wiring -----------------------------------------------------------
-
-    def attach_port(self, port: LinkPort) -> None:
-        self._port = port
-
-    def receive_frame(self, frame: Frame) -> None:
-        """Link delivery point (we are a NetDevice)."""
-        if frame.kind != "response" or frame.req_id is None:
-            return
-        send_ns = self.sent.pop(frame.req_id, None)
-        if send_ns is None:
-            return
-        self.responses_received += 1
-        rtt_ns = self._sim.now - send_ns
-        self.rtts.append((send_ns, rtt_ns))
-        for listener in self.rtt_listeners:
-            listener(frame.req_id, send_ns, rtt_ns)
 
     # -- traffic generation ---------------------------------------------------
 
@@ -136,28 +155,19 @@ class OpenLoopClient:
     def _emit_burst(self) -> None:
         """Emit one burst and re-arm.
 
-        The burst's arrival times are materialized in one vectorized
-        call and handed to the kernel's bulk entrypoints: a zero-gap
-        burst becomes a single same-timestamp batch entry, a spread
-        burst one ``schedule_many`` call.  Sequence-number consumption
-        is identical to the equivalent loop of ``schedule`` calls, so
-        emission order (and request ids) are bit-identical to the
-        scalar path.  The periodic re-arm reuses this burst's just-fired
+        The whole burst goes to the kernel in one ``schedule_many`` call,
+        which consumes one sequence number per request exactly as a loop
+        of ``schedule`` calls would, so emission order (and request ids)
+        match it.  The periodic re-arm reuses this burst's just-fired
         event via ``reschedule`` instead of allocating a fresh one.
         """
         if not self._running:
             return
         sim = self._sim
-        size = self.burst_size
-        if size == 1:
-            sim.schedule(0, self._emit_one)
-        elif self.intra_burst_gap_ns == 0:
-            sim.schedule_batch(0, size, self._emit_one)
-        else:
-            sim.schedule_many(
-                burst_arrival_times(sim.now, size, self.intra_burst_gap_ns),
-                self._emit_one,
-            )
+        sim.schedule_many(
+            burst_arrival_times(sim.now, self.burst_size, self.intra_burst_gap_ns),
+            self._emit_one,
+        )
         period = self.burst_period_ns
         if self._jitter_rng is not None and self.jitter_fraction > 0:
             spread = self.jitter_fraction * period
@@ -172,18 +182,3 @@ class OpenLoopClient:
         self.sent[frame.req_id] = self._sim.now
         self.requests_sent += 1
         self._port.send(frame)
-
-    # -- results ------------------------------------------------------------------
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.sent)
-
-    def rtts_in_window(self, start_ns: int, end_ns: int) -> List[int]:
-        """RTTs of requests *sent* within [start, end)."""
-        return [rtt for send, rtt in self.rtts if start_ns <= send < end_ns]
-
-    def sent_in_window(self, start_ns: int, end_ns: int) -> int:
-        completed = sum(1 for send, _ in self.rtts if start_ns <= send < end_ns)
-        pending = sum(1 for send in self.sent.values() if start_ns <= send < end_ns)
-        return completed + pending

@@ -19,14 +19,6 @@ from typing import Dict, List, Tuple
 
 from repro.sim.units import MS
 
-try:  # numpy is optional: the list fallback is bit-identical, just slower
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
-
-#: Below this burst size the numpy round-trip costs more than it saves.
-_VECTORIZE_MIN_BURST = 32
-
 
 @dataclass(frozen=True)
 class LoadLevel:
@@ -98,19 +90,10 @@ def burst_period_ns(target_rps: float, n_clients: int, burst_size: int) -> int:
 
 
 def burst_arrival_times(now_ns: int, burst_size: int, gap_ns: int) -> List[int]:
-    """Arrival timestamps for one burst: ``now + i*gap`` for each request.
-
-    Materialized in a single numpy op for real burst sizes (the paper's
-    clients emit ~200 requests per burst) and fed to the kernel's bulk
-    ``schedule_many`` entrypoint; the list-comprehension fallback is
-    bit-identical.  Timestamps are plain Python ints either way.
-    """
+    """Arrival timestamps for one burst: ``now + i*gap`` for each request,
+    fed to the kernel's bulk ``schedule_many`` entrypoint."""
     if burst_size < 1:
         raise ValueError("burst_size must be at least 1")
-    if _np is not None and burst_size >= _VECTORIZE_MIN_BURST:
-        return (
-            now_ns + gap_ns * _np.arange(burst_size, dtype=_np.int64)
-        ).tolist()
     return [now_ns + i * gap_ns for i in range(burst_size)]
 
 

@@ -42,13 +42,12 @@ import random
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.apps.client import RequestLedger
 from repro.apps.workload import burst_arrival_times, burst_period_ns
 from repro.telemetry.tracing import is_sampled
-from repro.net.link import LinkPort
 from repro.net.packet import Frame, make_http_request, make_memcached_request
-from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS
 
@@ -307,41 +306,15 @@ class FrontendPlanner:
         return self._next_burst_ns + self._dispatch_ns >= self._traffic_end_ns
 
 
-class FrontendPort:
+class FrontendPort(RequestLedger):
     """Shard-local network endpoint of the frontend for ONE server.
 
     The sending half of the tier: it injects the coordinator's planned
     dispatches into the shard simulator (one vectorized send per window)
     and records RTTs of the responses the server routes back, with the
-    same windowed accounting and ``rtt_listeners`` as
-    :class:`~repro.apps.client.OpenLoopClient`.
+    same ledger as :class:`~repro.apps.client.OpenLoopClient`; its
+    ``outstanding`` count is the boundary load report.
     """
-
-    def __init__(self, sim: Simulator, name: str):
-        self._sim = sim
-        self.name = name
-        self._port: Optional[LinkPort] = None
-        self.sent: Dict[int, int] = {}       # req_id -> send time
-        self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
-        #: Called as ``listener(req_id, send_ns, rtt_ns)`` on each reply.
-        self.rtt_listeners: List[Callable[[int, int, int], None]] = []
-        self.requests_sent = 0
-        self.responses_received = 0
-
-    def attach_port(self, port: LinkPort) -> None:
-        self._port = port
-
-    def receive_frame(self, frame: Frame) -> None:
-        if frame.kind != "response" or frame.req_id is None:
-            return
-        send_ns = self.sent.pop(frame.req_id, None)
-        if send_ns is None:
-            return
-        self.responses_received += 1
-        rtt_ns = self._sim.now - send_ns
-        self.rtts.append((send_ns, rtt_ns))
-        for listener in self.rtt_listeners:
-            listener(frame.req_id, send_ns, rtt_ns)
 
     def inject(self, dispatches: Sequence[Tuple[int, Frame]]) -> None:
         """Inject planned ``(send_ns, frame)`` pairs (non-decreasing times).
@@ -359,20 +332,6 @@ class FrontendPort:
             times.append(send_ns)
             frames.append(frame)
         self._port.send_vector(times, frames)
-
-    @property
-    def outstanding(self) -> int:
-        """Requests sent and not yet answered (the boundary load report)."""
-        return len(self.sent)
-
-    def rtts_in_window(self, start_ns: int, end_ns: int) -> List[int]:
-        """RTTs of requests *sent* within [start, end)."""
-        return [rtt for send, rtt in self.rtts if start_ns <= send < end_ns]
-
-    def sent_in_window(self, start_ns: int, end_ns: int) -> int:
-        completed = sum(1 for send, _ in self.rtts if start_ns <= send < end_ns)
-        pending = sum(1 for send in self.sent.values() if start_ns <= send < end_ns)
-        return completed + pending
 
 
 __all__ = [

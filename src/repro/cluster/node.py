@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.apps.apache import ApacheApp, ApacheProfile
-from repro.apps.memcached import MemcachedApp, MemcachedProfile
+from repro.apps import make_app
+from repro.apps.apache import ApacheProfile
+from repro.apps.memcached import MemcachedProfile
 from repro.core.config import NCAPConfig
 from repro.core.ncap_driver import NCAPDriverExtension
 from repro.core.ncap_nic import NCAPHardware
@@ -122,19 +123,11 @@ class ServerNode:
         self.driver = NICDriver(sim, self.nic, self.irq, netstack)
 
         # -- application --
-        app_rng = rng.stream(f"{name}.{app}")
-        if app == "apache":
-            self.app = ApacheApp(
-                sim, self.scheduler, self.driver, netstack, app_rng, name=name,
-                profile=apache_profile or ApacheProfile(),
-            )
-        elif app == "memcached":
-            self.app = MemcachedApp(
-                sim, self.scheduler, self.driver, netstack, app_rng, name=name,
-                profile=memcached_profile or MemcachedProfile(),
-            )
-        else:
-            raise ValueError(f"unknown app {app!r}")
+        self.app = make_app(
+            app, sim, self.scheduler, self.driver, netstack,
+            rng.stream(f"{name}.{app}"), name,
+            apache_profile=apache_profile, memcached_profile=memcached_profile,
+        )
         self.driver.packet_sink = self.app.on_packet
 
         # -- NCAP --

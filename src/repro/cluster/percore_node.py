@@ -17,10 +17,10 @@ Compare against the chip-wide :class:`ServerNode` under ``ncap.cons`` with
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
-from repro.apps.apache import ApacheApp, ApacheProfile
-from repro.apps.memcached import MemcachedApp, MemcachedProfile
+from repro.apps import make_app
 from repro.core.config import NCAPConfig
 from repro.core.ncap_driver import NCAPDriverExtension
 from repro.core.ncap_nic import NCAPHardware
@@ -86,15 +86,14 @@ class PerCoreServerNode:
         ondemand_period_ns: int = 10 * MS,
         ncap_config: Optional[NCAPConfig] = None,
         fcons: int = 5,
-        apache_profile: Optional[ApacheProfile] = None,
-        memcached_profile: Optional[MemcachedProfile] = None,
     ):
         self.sim = sim
         self.name = name
         self.app_name = app
-        # One Telemetry instance spans all domains/queues; per-instance
-        # stats prefixes (cpuidle.core<N>, driver.q<N>, ncap.q<N>) keep
-        # each replica's counters separate within the shared registry.
+        # One Telemetry instance spans all domains/queues and the app;
+        # per-instance stats prefixes (cpuidle.core<N>, nic.q<N>,
+        # driver.q<N>, ncap.q<N>) keep each replica's counters separate
+        # within the shared registry.
         self.telemetry = ensure_telemetry(telemetry)
         self.processor = MultiDomainProcessor(
             sim, processor, name=f"{name}.cpu", telemetry=self.telemetry
@@ -116,40 +115,32 @@ class PerCoreServerNode:
             self.ondemand.append(governor)
 
         # NIC: one queue per core, one driver per queue.
-        n_queues = processor.n_cores
         self.nic = MultiQueueNIC(
-            sim, name=name, n_queues=n_queues, moderation=moderation,
+            sim, name=name, n_queues=processor.n_cores, moderation=moderation,
             telemetry=self.telemetry,
         )
-        self.drivers: List[NICDriver] = []
-
-        # Application (affinity hints keep flows on their RSS core).
-        app_rng = rng.stream(f"{name}.{app}")
-        if app == "apache":
-            self.app = ApacheApp(
-                sim, self.scheduler, None, netstack, app_rng, name=name,
-                profile=apache_profile or ApacheProfile(),
+        self.drivers: List[NICDriver] = [
+            NICDriver(
+                sim, queue, self.irq, netstack, core_id=i,
+                stats_prefix=f"driver.q{i}",
             )
-        elif app == "memcached":
-            self.app = MemcachedApp(
-                sim, self.scheduler, None, netstack, app_rng, name=name,
-                profile=memcached_profile or MemcachedProfile(),
-            )
-        else:
-            raise ValueError(f"unknown app {app!r}")
+            for i, queue in enumerate(self.nic.queues)
+        ]
+        # The app transmits through the shared tx path via the first
+        # driver; affinity hints keep each flow on its RSS core.
+        self.app = make_app(
+            app, sim, self.scheduler, self.drivers[0], netstack,
+            rng.stream(f"{name}.{app}"), name,
+        )
 
         config = ncap_config or NCAPConfig(fcons=fcons)
         self.ncap_hw: List[NCAPHardware] = []
         self.ncap_ext: List[NCAPDriverExtension] = []
-        for i, queue in enumerate(self.nic.queues):
-            driver = NICDriver(
-                sim, queue, self.irq, netstack, core_id=i,  # type: ignore[arg-type]
-                stats_prefix=f"driver.q{i}",
-            )
-            driver.packet_sink = self._make_sink(i)
+        for i, (queue, driver) in enumerate(zip(self.nic.queues, self.drivers)):
+            driver.packet_sink = functools.partial(self.app.on_packet_pinned, i)
             domain = self.processor.domains[i]
             hardware = NCAPHardware(
-                sim, queue, config,  # type: ignore[arg-type]
+                sim, queue, config,
                 cpu_at_max=lambda d=domain: d.at_max_performance,
                 stats_prefix=f"ncap.q{i}",
             )
@@ -162,21 +153,8 @@ class PerCoreServerNode:
                 wake_core=self.processor.cores[i],
             )
             driver.icr_hooks.append(extension.on_icr)
-            self.drivers.append(driver)
             self.ncap_hw.append(hardware)
             self.ncap_ext.append(extension)
-        # The app transmits through the shared tx path via the first driver.
-        self.app._driver = self.drivers[0]
-
-    def _make_sink(self, core_id: int):
-        def sink(frame: Frame) -> None:
-            self.app.affinity_hint = core_id
-            try:
-                self.app.on_packet(frame)
-            finally:
-                self.app.affinity_hint = None
-
-        return sink
 
     # -- link endpoint ------------------------------------------------------
 

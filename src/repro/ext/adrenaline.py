@@ -20,10 +20,9 @@ finishes.  No NIC changes at all — that is the point of the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.apps.apache import ApacheApp, ApacheProfile
-from repro.apps.memcached import MemcachedApp, MemcachedProfile
+from repro.apps import make_app
 from repro.core.req_monitor import ReqMonitor
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.multidomain import MultiDomainProcessor
@@ -39,6 +38,7 @@ from repro.oskernel.netstack import NetStackCosts
 from repro.oskernel.scheduler import Scheduler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,6 @@ class AdrenalineServerNode:
         netstack: NetStackCosts = NetStackCosts(),
         moderation: ModerationConfig = ModerationConfig(),
         config: AdrenalineConfig = AdrenalineConfig(),
-        apache_profile: Optional[ApacheProfile] = None,
-        memcached_profile: Optional[MemcachedProfile] = None,
     ):
         self.sim = sim
         self.name = name
@@ -80,12 +78,17 @@ class AdrenalineServerNode:
             pll_relock_us=config.vr_switch_ns / 1000,
             initial_pstate=config.idle_pstate,
         )
+        # One registry and probe bus for the whole node, as ServerNode.
+        self.telemetry = Telemetry()
         self.processor = MultiDomainProcessor(
-            sim, fast_processor, name=f"{name}.cpu"
+            sim, fast_processor, name=f"{name}.cpu", telemetry=self.telemetry
         )
         self.scheduler = Scheduler(sim, self.processor)
         self.irq = IRQController(sim, self.processor)
-        self.cpuidle = CpuidleDriver(MenuGovernor(self.processor.cstates))
+        self.cpuidle = CpuidleDriver(
+            MenuGovernor(self.processor.cstates, telemetry=self.telemetry),
+            telemetry=self.telemetry,
+        )
         self.scheduler.idle_hook = self.cpuidle.on_core_idle
         self.cpufreq: List[CpufreqDriver] = [
             CpufreqDriver(sim, domain) for domain in self.processor.domains
@@ -93,23 +96,12 @@ class AdrenalineServerNode:
 
         n_queues = processor.n_cores
         self.nic = MultiQueueNIC(
-            sim, name=name, n_queues=n_queues, moderation=moderation
+            sim, name=name, n_queues=n_queues, moderation=moderation,
+            telemetry=self.telemetry,
         )
-        self.monitor = ReqMonitor(config.templates)
-
-        app_rng = rng.stream(f"{name}.{app}")
-        if app == "apache":
-            self.app = ApacheApp(
-                sim, self.scheduler, None, netstack, app_rng, name=name,
-                profile=apache_profile or ApacheProfile(),
-            )
-        elif app == "memcached":
-            self.app = MemcachedApp(
-                sim, self.scheduler, None, netstack, app_rng, name=name,
-                profile=memcached_profile or MemcachedProfile(),
-            )
-        else:
-            raise ValueError(f"unknown app {app!r}")
+        self.monitor = ReqMonitor(
+            config.templates, telemetry=self.telemetry, stats_prefix="adrenaline"
+        )
 
         self._outstanding: Dict[int, int] = {i: 0 for i in range(n_queues)}
         self._req_core: Dict[int, int] = {}
@@ -117,12 +109,18 @@ class AdrenalineServerNode:
         self.unboosts = 0
         self.drivers: List[NICDriver] = []
         for i, queue in enumerate(self.nic.queues):
-            driver = NICDriver(sim, queue, self.irq, netstack, core_id=i)  # type: ignore[arg-type]
+            driver = NICDriver(
+                sim, queue, self.irq, netstack, core_id=i,
+                stats_prefix=f"driver.q{i}",
+            )
             # Software classification in SoftIRQ context, with its cost.
             driver.extra_rx_cycles_per_packet += config.inspect_cycles_per_packet
             driver.packet_sink = self._make_sink(i)
             self.drivers.append(driver)
-        self.app._driver = self.drivers[0]
+        self.app = make_app(
+            app, sim, self.scheduler, self.drivers[0], netstack,
+            rng.stream(f"{name}.{app}"), name,
+        )
 
     # -- per-query boosting --------------------------------------------------
 
@@ -132,11 +130,7 @@ class AdrenalineServerNode:
             if frame.kind == "request" and self.monitor.inspect(frame):
                 boosted = True
                 self._query_started(core_id, frame)
-            self.app.affinity_hint = core_id
-            try:
-                self.app.on_packet(frame)
-            finally:
-                self.app.affinity_hint = None
+            self.app.on_packet_pinned(core_id, frame)
             if boosted and frame.req_id is not None:
                 self._req_core[frame.req_id] = core_id
 

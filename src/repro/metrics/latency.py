@@ -37,26 +37,6 @@ class LatencyStats:
             max_ns=float(arr.max()),
         )
 
-    @classmethod
-    def from_sketch(cls, sketch) -> "LatencyStats":
-        """Build from a streaming sketch (O(1)-memory aggregation path).
-
-        Count, mean, and max are exact; percentiles carry the sketch's
-        approximation error (tightest at the tails).
-        """
-        if sketch.count == 0:
-            return cls(0, float("nan"), float("nan"), float("nan"),
-                       float("nan"), float("nan"), float("nan"))
-        return cls(
-            count=sketch.count,
-            mean_ns=float(sketch.mean),
-            p50_ns=float(sketch.quantile(50)),
-            p90_ns=float(sketch.quantile(90)),
-            p95_ns=float(sketch.quantile(95)),
-            p99_ns=float(sketch.quantile(99)),
-            max_ns=float(sketch.max),
-        )
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (``q`` in [0, 100]).
 

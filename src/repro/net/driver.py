@@ -96,9 +96,8 @@ class NICDriver:
         bits = self.nic.read_icr()
         for hook in self.icr_hooks:
             hook(bits)
-        take_completions = getattr(self.nic, "take_tx_completions", None)
-        if bits & ICR.IT_TX and take_completions is not None:
-            completed = take_completions()
+        if bits & ICR.IT_TX:
+            completed = self.nic.take_tx_completions()
             if completed:
                 self._tx_reclaimed.inc(completed)
                 self._irq.raise_softirq(

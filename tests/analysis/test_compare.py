@@ -1,5 +1,4 @@
-"""Cross-run comparison tests: RunSets, paired diffs, CI gates, sketch
-error bounds (the documented-accuracy contract of the paired-diff math)."""
+"""Cross-run comparison tests: RunSets, paired diffs, CI gates."""
 
 import json
 import os
@@ -18,10 +17,8 @@ from repro.analysis.compare import (
     joules_per_request,
     load_label,
     percentile_ci,
-    sketch_rank_halfwidth,
 )
 from repro.analysis.energy import EnergyAttribution
-from repro.analysis.sketch import StreamingSketch
 from repro.harness.cache import ResultCache
 from repro.harness.record import ResultRecord
 from repro.metrics.latency import LatencyStats
@@ -267,62 +264,6 @@ class TestCompare:
         diffs = compare(rs, baseline="perf")
         assert len(diffs) == 1
         assert diffs[0].target_rps == 12_000.0
-
-
-class TestSketchDeltaBounds:
-    """Satellite contract: paired percentile deltas computed from
-    streaming-sketch records agree with exact-percentile deltas to within
-    the documented rank-error bound (``sketch_rank_halfwidth``)."""
-
-    @staticmethod
-    def _value_error_bound(sorted_values, q, max_centroids=128):
-        """Max value-space error of a sketch q-percentile: the rank bound
-        mapped through the population's order statistics."""
-        n = len(sorted_values)
-        half = sketch_rank_halfwidth(n, q, max_centroids)
-        rank = q / 100.0 * (n - 1)
-        lo = sorted_values[max(0, int(np.floor(rank - half)))]
-        hi = sorted_values[min(n - 1, int(np.ceil(rank + half)))]
-        exact = float(np.percentile(sorted_values, q))
-        return max(exact - lo, hi - exact)
-
-    @pytest.mark.parametrize("q,field", [
-        (50.0, "p50_ns"), (95.0, "p95_ns"), (99.0, "p99_ns"),
-    ])
-    def test_sketch_diff_within_documented_bound(self, q, field):
-        rng = np.random.RandomState(42)
-        base_pop = np.sort(rng.lognormal(14.9, 0.35, 30_000))
-        cand_pop = np.sort(rng.lognormal(15.1, 0.45, 30_000))
-
-        def sketch_record(policy, population):
-            sketch = StreamingSketch()
-            sketch.extend(population.tolist())
-            return make_record(
-                policy=policy, latency=LatencyStats.from_sketch(sketch)
-            )
-
-        base = sketch_record("perf", base_pop)
-        cand = sketch_record("ncap.cons", cand_pop)
-        diff = diff_records(base, cand)
-        exact_delta = float(
-            np.percentile(cand_pop, q) - np.percentile(base_pop, q)
-        )
-        bound = (
-            self._value_error_bound(base_pop, q)
-            + self._value_error_bound(cand_pop, q)
-        )
-        assert abs(diff.metrics[field].delta - exact_delta) <= bound
-
-    def test_rank_halfwidth_shape(self):
-        # Tightest at the tails (the q(1-q) scale function), never
-        # below one sample, and growing linearly with n.
-        assert sketch_rank_halfwidth(10_000, 99) < (
-            sketch_rank_halfwidth(10_000, 50)
-        )
-        assert sketch_rank_halfwidth(10, 50) >= 1.0
-        assert sketch_rank_halfwidth(20_000, 95) == pytest.approx(
-            2 * sketch_rank_halfwidth(10_000, 95)
-        )
 
 
 class TestReports:

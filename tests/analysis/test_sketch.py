@@ -1,41 +1,14 @@
-"""Streaming percentile sketches: accuracy, bounds, merging."""
+"""Streaming percentile sketch: accuracy and bounds."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.sketch import P2Quantile, StreamingSketch
+from repro.analysis.sketch import StreamingSketch
 
 
 def lognormal_stream(n: int, seed: int = 7) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.lognormal(mean=12.0, sigma=0.8, size=n)
-
-
-class TestP2Quantile:
-    def test_rejects_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_empty_is_nan(self):
-        assert np.isnan(P2Quantile(0.5).value)
-
-    def test_exact_below_five_samples(self):
-        est = P2Quantile(0.5)
-        for x in (3.0, 1.0, 2.0):
-            est.add(x)
-        assert est.value == 2.0
-
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_tracks_lognormal_quantile(self, q):
-        data = lognormal_stream(20_000)
-        est = P2Quantile(q)
-        for x in data:
-            est.add(x)
-        exact = float(np.quantile(data, q))
-        assert est.value == pytest.approx(exact, rel=0.05)
-        assert est.count == data.size
 
 
 class TestStreamingSketch:
@@ -67,18 +40,6 @@ class TestStreamingSketch:
         sketch.extend(data.tolist())
         assert sketch.quantile(0) == float(data.min())
         assert sketch.quantile(100) == float(data.max())
-
-    def test_merge_matches_single_sketch(self):
-        data = lognormal_stream(20_000)
-        left, right = StreamingSketch(), StreamingSketch()
-        left.extend(data[:10_000].tolist())
-        right.extend(data[10_000:].tolist())
-        left.merge(right)
-        assert left.count == data.size
-        assert left.mean == pytest.approx(float(data.mean()))
-        for q in (50, 95, 99):
-            exact = float(np.percentile(data, q))
-            assert left.quantile(q) == pytest.approx(exact, rel=0.03)
 
     def test_empty_and_singleton(self):
         sketch = StreamingSketch()

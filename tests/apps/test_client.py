@@ -169,11 +169,11 @@ class TestFactories:
 
 
 class TestBulkBurstPaths:
-    """The three burst-emission strategies (single, zero-gap batch,
-    vectorized schedule_many) must be externally indistinguishable."""
+    """A burst is one ``schedule_many`` call whatever its size or gap;
+    single requests, zero-gap and spread bursts keep their send times
+    and cadence."""
 
     def test_large_burst_send_times_exact(self):
-        # burst_size >= 32 takes the vectorized schedule_many path.
         sim, client, port = make_client(burst_size=100, period=MS, gap=500)
         client.start()
         sim.run(until=MS - 1)
@@ -181,7 +181,6 @@ class TestBulkBurstPaths:
         assert times == [i * 500 for i in range(100)]
 
     def test_zero_gap_burst_sends_all_at_once(self):
-        # gap == 0 takes the schedule_batch same-timestamp path.
         sim, client, port = make_client(burst_size=50, period=MS, gap=0)
         client.start()
         sim.run(until=MS - 1)
@@ -189,7 +188,7 @@ class TestBulkBurstPaths:
         assert client.requests_sent == 50
 
     def test_burst_paths_agree_on_cadence(self):
-        # Same aggregate traffic regardless of which strategy fires.
+        # Same aggregate traffic for every burst size and gap.
         for size, gap in ((1, 1_000), (10, 1_000), (64, 1_000), (64, 0)):
             sim, client, port = make_client(burst_size=size, period=MS, gap=gap)
             client.start()

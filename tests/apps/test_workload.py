@@ -86,8 +86,8 @@ class TestBurstArrivalTimes:
         assert burst_arrival_times(10, 4, 0) == [10, 10, 10, 10]
 
     def test_vectorized_matches_scalar_fallback(self):
-        # Above _VECTORIZE_MIN_BURST the numpy path kicks in; it must be
-        # bit-identical to the pure-python formula, ints included.
+        # Every size, small or as large as real bursts, follows the
+        # formula exactly and yields plain Python ints.
         for size in (1, 31, 32, 200, 1_000):
             times = burst_arrival_times(123_456_789, size, 5_000)
             assert times == [123_456_789 + i * 5_000 for i in range(size)]

@@ -5,10 +5,11 @@ import pytest
 from repro.cluster.percore_node import PerCoreServerNode
 from repro.cpu.multidomain import MultiDomainProcessor
 from repro.cpu.config import ProcessorConfig
-from repro.net import make_http_request
+from repro.net import make_http_request, make_memcached_request
 from repro.net.multiqueue import MultiQueueNIC
 from repro.sim import RngRegistry, Simulator
 from repro.sim.units import MS
+from repro.telemetry import Telemetry
 
 
 class SinkPort:
@@ -65,7 +66,9 @@ class TestMultiQueueNIC:
         sim = Simulator()
         nic = MultiQueueNIC(sim, n_queues=4)
         queues = {
-            nic.queue_for(make_http_request(f"client{i}", "server")).queue_id
+            nic.queues.index(
+                nic.queue_for(make_http_request(f"client{i}", "server"))
+            )
             for i in range(16)
         }
         assert len(queues) > 1
@@ -82,10 +85,10 @@ class TestMultiQueueNIC:
         sim = Simulator()
         nic = MultiQueueNIC(sim, n_queues=4)
         seen = {i: [] for i in range(4)}
-        for q in nic.queues:
-            q.rx_hw_taps.append(lambda f, qid=q.queue_id: seen[qid].append(f))
+        for qid, q in enumerate(nic.queues):
+            q.rx_hw_taps.append(lambda f, qid=qid: seen[qid].append(f))
         frame = make_http_request("clientX", "server")
-        target = nic.queue_for(frame).queue_id
+        target = nic.queues.index(nic.queue_for(frame))
         nic.receive_frame(frame)
         sim.run()
         assert len(seen[target]) == 1
@@ -120,7 +123,7 @@ class TestPerCoreServerNode:
         sim.run(until=int(0.1 * MS))
         # One flow -> one queue -> one domain boosted.
         frame = make_http_request("client0", "server", req_id=1)
-        target = node.nic.queue_for(frame).queue_id
+        target = node.nic.queues.index(node.nic.queue_for(frame))
         base = int(0.2 * MS)
         for i in range(80):
             sim.schedule_at(
@@ -154,3 +157,25 @@ class TestPerCoreServerNode:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):
             PerCoreServerNode(Simulator(), "s", "nginx", RngRegistry(1))
+
+    def test_app_reports_to_the_node_telemetry(self):
+        # A sink on the Telemetry the node was built with sees the app's
+        # per-request accounting, and the app's counters join its registry.
+        sim = Simulator()
+        telemetry = Telemetry()
+        node = PerCoreServerNode(
+            sim, "server", "memcached", RngRegistry(2), telemetry=telemetry
+        )
+        node.attach_port(SinkPort())
+        node.start()
+        accounted = []
+        telemetry.probes.subscribe("request.account", accounted.append)
+        for i in range(40):
+            sim.schedule_at(
+                i * 10_000, node.nic.receive_frame,
+                make_memcached_request(f"client{i % 8}", "server", req_id=i),
+            )
+        sim.run(until=10 * MS)
+        assert node.app.responses_sent == 40
+        assert sorted(event.req_id for event in accounted) == list(range(40))
+        assert "app.requests" in telemetry.stats

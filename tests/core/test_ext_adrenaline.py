@@ -27,7 +27,7 @@ class TestBoosting:
     def test_query_boosts_target_core(self):
         sim, node = make_node()
         frame = make_memcached_request("client0", "server", req_id=1)
-        target = node.nic.queue_for(frame).queue_id
+        target = node.nic.queues.index(node.nic.queue_for(frame))
         node.nic.receive_frame(frame)
         sim.run(until=MS)
         # Boosted on query start; by now the query completed and unboosted.
@@ -41,7 +41,7 @@ class TestBoosting:
     def test_boost_only_while_queries_outstanding(self):
         sim, node = make_node()
         frame = make_memcached_request("client0", "server", req_id=7)
-        target = node.nic.queue_for(frame).queue_id
+        target = node.nic.queues.index(node.nic.queue_for(frame))
         node.nic.receive_frame(frame)
         # Shortly after softirq delivery the domain heads to P0.
         sim.run(until=80 * US)
@@ -93,3 +93,23 @@ class TestBoosting:
         sim, node = make_node(config=config)
         for driver in node.drivers:
             assert driver.extra_rx_cycles_per_packet == 50_000
+
+    def test_node_components_share_one_telemetry(self):
+        # One registry covers the whole node: CPU, cpuidle, every queue
+        # and its driver, and the app.
+        sim, node = make_node()
+        node.nic.receive_frame(
+            make_memcached_request("client0", "server", req_id=3)
+        )
+        sim.run(until=MS)
+        telemetry = node.telemetry
+        assert node.processor.telemetry is telemetry
+        assert node.cpuidle.telemetry is telemetry
+        assert node.app.telemetry is telemetry
+        assert all(q.telemetry is telemetry for q in node.nic.queues)
+        stats = telemetry.stats
+        assert stats.value("app.requests") == 1
+        assert sum(
+            stats.value(f"driver.q{i}.frames_delivered")
+            for i in range(len(node.drivers))
+        ) == 1

@@ -74,19 +74,6 @@ class TestLatencyStats:
         stats = LatencyStats.from_values([])
         assert math.isnan(stats.percentile(75))
 
-    def test_from_sketch_round_trip(self):
-        from repro.analysis.sketch import StreamingSketch
-
-        values = [float(v) for v in range(1, 2_001)]
-        sketch = StreamingSketch()
-        sketch.extend(values)
-        stats = LatencyStats.from_sketch(sketch)
-        exact = LatencyStats.from_values(values)
-        assert stats.count == exact.count
-        assert stats.mean_ns == pytest.approx(exact.mean_ns)
-        assert stats.max_ns == exact.max_ns
-        assert stats.p99_ns == pytest.approx(exact.p99_ns, rel=0.02)
-
     def test_sketch_excluded_from_equality(self):
         a = LatencyStats.from_values([1, 2, 3])
         b = LatencyStats(

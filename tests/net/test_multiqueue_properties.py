@@ -28,7 +28,7 @@ def test_steering_is_deterministic_per_flow(src, n_queues):
 def test_many_flows_spread_over_queues(srcs):
     nic = MultiQueueNIC(Simulator(), n_queues=4)
     queues = {
-        nic.queue_for(Frame(src, "server", payload_bytes=10)).queue_id
+        nic.queues.index(nic.queue_for(Frame(src, "server", payload_bytes=10)))
         for src in srcs
     }
     # 32+ distinct flows through CRC32 must touch at least half the queues.

@@ -161,6 +161,11 @@ def wired_nic(nic_cls, **nic_kwargs):
     return sim, nic, receiver
 
 
+def transmitter(nic):
+    """The NIC itself, or a multi-queue NIC's first queue."""
+    return nic.queues[0] if isinstance(nic, MultiQueueNIC) else nic
+
+
 def wire_frame():
     # 1250 wire bytes: 10 us of serialization at 1 Gb/s.
     return Frame("server", "client", payload_bytes=1250 - 66, kind="response")
@@ -172,6 +177,7 @@ class TestTxPath:
         # 1 us propagation.
         for nic_cls in (NIC, MultiQueueNIC):
             sim, nic, receiver = wired_nic(nic_cls)
+            nic = transmitter(nic)
             assert nic.tx_dma_latency_ns == 5 * US
             frame = wire_frame()
             sim.schedule_at(3 * US, nic.transmit, frame)
@@ -183,6 +189,7 @@ class TestTxPath:
         # first's 10 us of serialization.
         for nic_cls in (NIC, MultiQueueNIC):
             sim, nic, receiver = wired_nic(nic_cls)
+            nic = transmitter(nic)
             first, second = wire_frame(), wire_frame()
             sim.schedule_at(3 * US, nic.transmit, first)
             sim.schedule_at(3 * US, nic.transmit, second)

@@ -9,10 +9,14 @@ a span by wrapping, on the class, the ``Simulator`` methods named in its
 on the class.  A changed send signature makes a traced run raise; a new
 scheduling method whose handlers bypass those wrappers makes a traced
 run fail its handler-count check and leaves its handlers out of a
-profile.  These tests catch both without running either.
+profile.  The tracer also imports every module in its ``LAYER_MODULES``
+by name and patches a few methods and one function by name, so deleting
+any of them breaks a traced run.  These tests catch all of this without
+running either.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -25,15 +29,31 @@ TRACER = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracer.py
 #: Takes a handler but schedules it through ``schedule_at``.
 ROUTED_THROUGH_SCHEDULING = {"call_now"}
 
+#: ``(module, owner class or None, attribute)`` that ``install()`` patches
+#: by name; a class attribute must be defined on the class itself.
+PATCHED_BY_NAME = (
+    ("repro.cluster.simulation", "Cluster", "__init__"),
+    ("repro.cluster.sharding", "ShardedDatacenterRun", "__init__"),
+    ("repro.harness", "ResultRecord", "from_result"),
+    ("repro.harness", "ResultCache", "put"),
+    ("repro.harness", "ResultCache", "get"),
+    ("repro.cluster.sharding", None, "build_fleet_record"),
+)
 
-def tracer_scheduling_names():
-    """``_SCHEDULING`` from the tracer's source, read without importing it."""
+
+def tracer_constant(name):
+    """Top-level constant ``name`` from the tracer's source, read without
+    importing it."""
     for node in ast.parse(TRACER.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_SCHEDULING" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return set(ast.literal_eval(node.value))
-    raise AssertionError(f"no _SCHEDULING in {TRACER}")
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} in {TRACER}")
+
+
+def tracer_scheduling_names():
+    return set(tracer_constant("_SCHEDULING"))
 
 
 def parameter_names(fn):
@@ -83,3 +103,16 @@ def test_call_now_routes_through_schedule_at():
     sim.schedule_at = spy
     sim.call_now(print, "x")
     assert routed == [(0, print, ("x",))]
+
+
+def test_every_tracer_layer_module_imports():
+    for module, _layer in tracer_constant("LAYER_MODULES"):
+        importlib.import_module(module)
+
+
+def test_every_attribute_the_tracer_patches_exists():
+    for module, owner, name in PATCHED_BY_NAME:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = vars(target)[owner]
+        assert name in vars(target), f"{module}.{owner or ''}.{name}"
