@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -65,7 +64,7 @@ from repro.cluster.simulation import (
 )
 from repro.harness.hashing import config_hash
 from repro.harness.record import ResultRecord
-from repro.harness.runner import resolve_jobs
+from repro.harness.runner import pool_result, resolve_jobs
 from repro.metrics.energy import average_power_w
 from repro.metrics.latency import LatencyStats
 from repro.net.switch import Switch
@@ -348,22 +347,37 @@ def _worker_collect() -> List[ShardResult]:
 
 
 class _PoolWorkers:
-    """P persistent single-worker pools, each hosting n_shards/P shards."""
+    """P persistent single-worker pools, each hosting n_shards/P shards.
+
+    A slot whose worker dies raises a ``RuntimeError`` naming the phase
+    (start, the window being advanced, or collect) and the slot's shards.
+    """
 
     def __init__(self, payloads: List[Dict[str, object]]):
+        from concurrent.futures import ProcessPoolExecutor
+
         self._slots = [
             ProcessPoolExecutor(
                 max_workers=1, initializer=_worker_init, initargs=(payload,)
             )
             for payload in payloads
         ]
+        self._slot_shards = [sorted(p["assignments"]) for p in payloads]
+
+    def _results(self, futures: list, phase: str) -> list:
+        return [
+            pool_result(future, f"{phase} on shards {shards}")
+            for future, shards in zip(futures, self._slot_shards)
+        ]
 
     def start_all(self) -> None:
-        for f in [slot.submit(_worker_start) for slot in self._slots]:
-            f.result()
+        self._results(
+            [slot.submit(_worker_start) for slot in self._slots], "start"
+        )
 
     def advance_all(
         self,
+        start_ns: int,
         until_ns: int,
         injections_by_shard: Dict[int, List[Tuple[int, int, object]]],
         slot_of_shard: Dict[int, int],
@@ -379,16 +393,19 @@ class _PoolWorkers:
         ]
         outstanding: Dict[int, int] = {}
         reports: Dict[int, Tuple[float, int]] = {}
-        for f in futures:
-            slot_outstanding, slot_reports = f.result()
+        for slot_outstanding, slot_reports in self._results(
+            futures, f"window [{start_ns}, {until_ns}) ns"
+        ):
             outstanding.update(slot_outstanding)
             reports.update(slot_reports)
         return outstanding, reports
 
     def collect_all(self) -> List[ShardResult]:
         results: List[ShardResult] = []
-        for f in [slot.submit(_worker_collect) for slot in self._slots]:
-            results.extend(f.result())
+        for slot_results in self._results(
+            [slot.submit(_worker_collect) for slot in self._slots], "collect"
+        ):
+            results.extend(slot_results)
         results.sort(key=lambda r: r.shard_index)
         return results
 
@@ -544,7 +561,7 @@ class ShardedDatacenterRun:
                 t_advance = time.perf_counter()
                 if pool is not None:
                     outstanding, reports = pool.advance_all(
-                        w_end, injections, slot_of_shard
+                        t, w_end, injections, slot_of_shard
                     )
                 else:
                     outstanding, reports = self._inline_host.advance(

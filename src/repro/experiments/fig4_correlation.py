@@ -14,14 +14,16 @@ Outputs:
 - the ondemand reaction lag: how far F's rise trails the BW(Rx) surge
   (the paper measures ~11 ms with a 10 ms invocation period);
 - per-C-state residency and entry counts (Figure 4(b)).
+
+The correlations use numpy, imported inside the functions that compute
+them: this is the model's only numpy user, and importing
+``repro.experiments`` does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.experiments.common import RunSettings
@@ -33,6 +35,9 @@ from repro.metrics.timeseries import (
 )
 from repro.sim.units import MS
 from repro.telemetry.recorder import RecorderConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -55,6 +60,8 @@ def run(
     settings: RunSettings = RunSettings.standard(),
     bin_ns: int = 1 * MS,
 ) -> Fig4Result:
+    import numpy as np
+
     config = ExperimentConfig(
         app=app,
         policy=policy,
@@ -107,6 +114,8 @@ def run(
 
 
 def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     if len(a) < 2 or a.std() == 0 or b.std() == 0:
         return float("nan")
     return float(np.corrcoef(a, b)[0, 1])
@@ -114,6 +123,8 @@ def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
 
 def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average (each point averages its last ``window``)."""
+    import numpy as np
+
     if window <= 1 or len(values) == 0:
         return values
     kernel = np.ones(window) / window
@@ -132,7 +143,7 @@ def _best_lagged_corr(
     for lag in range(0, max_lag_bins):
         a = leader[: len(leader) - lag] if lag else leader
         b = follower[lag:]
-        corr = _safe_corr(np.asarray(a), np.asarray(b))
+        corr = _safe_corr(a, b)
         if corr == corr and corr > best_corr:  # not NaN
             best_corr, best_lag = corr, lag
     if best_lag is None:

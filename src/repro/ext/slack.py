@@ -16,14 +16,16 @@ performance cap (``scaling_max_freq``) on the cpufreq driver:
 NCAP continues to work underneath: its IT_HIGH boost simply saturates at
 the capped state, so the two mechanisms compose exactly as the paper
 suggests.
+
+The window's p95 is :func:`~repro.metrics.latency.linear_percentile`,
+numpy's default percentile rule in standard-library Python.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
+from repro.metrics.latency import linear_percentile
 from repro.oskernel.cpufreq import CpufreqDriver
 from repro.oskernel.irq import IRQController
 from repro.oskernel.timers import PeriodicKernelTask
@@ -83,7 +85,7 @@ class SlackController:
         if len(self._window) < self.min_samples:
             self._window.clear()
             return
-        p95 = float(np.percentile(np.asarray(self._window, dtype=np.float64), 95))
+        p95 = linear_percentile(sorted(self._window), 95)
         self._window.clear()
         self.last_p95_ns = p95
         table = self._cpufreq.package.pstates

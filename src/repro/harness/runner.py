@@ -8,6 +8,12 @@ two backends are interchangeable — a parallel sweep returns bit-identical
 records in the same order as a serial one, regardless of completion
 order.
 
+The pool machinery (``concurrent.futures.process`` and
+``multiprocessing``) is imported only when a pool is built, so a serial
+run never loads it.  A worker that dies mid-run surfaces as a
+``RuntimeError`` naming the sweep point or item it was waiting on,
+chained from the pool's ``BrokenProcessPool``.
+
 Job-count resolution: explicit ``jobs`` argument, else the ``REPRO_JOBS``
 environment variable, else ``os.cpu_count()``.
 """
@@ -15,7 +21,7 @@ environment variable, else ``os.cpu_count()``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
@@ -66,6 +72,17 @@ def execute_spec(spec: RunSpec) -> ResultRecord:
     return ResultRecord.from_result(result, config_hash=key, seed=config.seed)
 
 
+def pool_result(future: Future, what: str):
+    """``future.result()``; a dead pool worker becomes a ``RuntimeError``
+    naming ``what`` the future was running."""
+    try:
+        return future.result()
+    except BrokenExecutor as exc:
+        raise RuntimeError(
+            f"{what} did not complete: a pool worker died ({exc})"
+        ) from exc
+
+
 class Runner:
     """Executes specs serially or across a process pool, with caching."""
 
@@ -113,10 +130,18 @@ class Runner:
             for i in pending:
                 yield execute_spec(specs[i])
             return
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
             futures = [pool.submit(execute_spec, specs[i]) for i in pending]
-            for future in futures:
-                yield future.result()
+            for i, future in zip(pending, futures):
+                spec = specs[i]
+                load = spec.load or f"{spec.target_rps:g}"
+                yield pool_result(
+                    future,
+                    f"sweep point {i} ({spec.app}/{spec.policy_name}/"
+                    f"{load}/{spec.seed})",
+                )
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Parallel map for experiment tasks that are not plain configs.
@@ -128,9 +153,11 @@ class Runner:
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
             futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
+            return [pool_result(f, f"map item {i}") for i, f in enumerate(futures)]
 
     def _notify(
         self, index: int, total: int, spec: RunSpec, record: ResultRecord,

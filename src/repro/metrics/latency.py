@@ -1,11 +1,37 @@
-"""Latency statistics: percentiles, SLA normalization."""
+"""Latency statistics: percentiles, SLA normalization.
+
+Standard-library Python: :func:`linear_percentile` applies numpy's default
+("linear") percentile rule with numpy's own float operations, so the
+summary of integer RTTs equals numpy's bit for bit and records do not
+depend on which numpy, if any, is installed.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-import numpy as np
+
+def linear_percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of the non-empty ascending ``ordered``.
+
+    numpy's "linear" rule (Hyndman & Fan type 7): the virtual index
+    ``(n - 1) * q / 100`` splits into a floor and a fraction ``t``, and
+    the two neighbours are blended from whichever end ``t`` is nearer,
+    as ``numpy``'s ``_lerp`` does.
+    """
+    n = len(ordered)
+    v = (n - 1) * (q / 100)
+    if v >= n - 1:
+        return float(ordered[-1])
+    lo = math.floor(v)
+    t = v - lo
+    a, b = float(ordered[lo]), float(ordered[lo + 1])
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
 
 
 @dataclass
@@ -25,16 +51,18 @@ class LatencyStats:
         if len(values_ns) == 0:
             return cls(0, float("nan"), float("nan"), float("nan"),
                        float("nan"), float("nan"), float("nan"))
-        arr = np.asarray(values_ns, dtype=np.float64)
-        p50, p90, p95, p99 = np.percentile(arr, [50, 90, 95, 99])
+        # Integer RTTs sum exactly (as numpy's float64 sum does below
+        # 2**53 ns), so the mean is the same correctly rounded quotient.
+        ordered = sorted(values_ns)
+        n = len(ordered)
         return cls(
-            count=int(arr.size),
-            mean_ns=float(arr.mean()),
-            p50_ns=float(p50),
-            p90_ns=float(p90),
-            p95_ns=float(p95),
-            p99_ns=float(p99),
-            max_ns=float(arr.max()),
+            count=n,
+            mean_ns=float(sum(ordered) / n),
+            p50_ns=linear_percentile(ordered, 50),
+            p90_ns=linear_percentile(ordered, 90),
+            p95_ns=linear_percentile(ordered, 95),
+            p99_ns=linear_percentile(ordered, 99),
+            max_ns=float(ordered[-1]),
         )
 
     def percentile(self, q: float) -> float:

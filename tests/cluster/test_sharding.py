@@ -7,6 +7,9 @@ and sha256) to the single-process run.
 
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 import pytest
@@ -15,6 +18,7 @@ from repro.cluster.datacenter import DatacenterConfig, run_datacenter
 from repro.cluster.frontend import FrontendConfig
 from repro.cluster.sharding import (
     ShardedDatacenterRun,
+    _ShardHost,
     conservative_window_ns,
     shard_plan,
 )
@@ -214,3 +218,29 @@ class TestResultShape:
         assert clone.to_json_dict() == result.record.to_json_dict()
         assert clone.responses_received == result.record.responses_received
         assert clone.timeseries == result.record.timeseries
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched advance only when they are forked",
+    )
+    def test_error_names_the_shards_and_the_window(self, monkeypatch):
+        config = client_config(n_shards=2)
+        window = conservative_window_ns(config)
+        advance = _ShardHost.advance
+
+        def dying_advance(host, until_ns, injections):
+            if 1 in host.shards and until_ns > window:
+                os._exit(3)
+            return advance(host, until_ns, injections)
+
+        monkeypatch.setattr(_ShardHost, "advance", dying_advance)
+        run = ShardedDatacenterRun(config, jobs=2)
+        with pytest.raises(RuntimeError) as info:
+            run.execute()
+        assert str(info.value).startswith(
+            f"window [{window}, {2 * window}) ns on shards [1] did not "
+            f"complete: a pool worker died"
+        )
+        assert isinstance(info.value.__cause__, BrokenExecutor)

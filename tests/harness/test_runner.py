@@ -1,7 +1,9 @@
 """Runner determinism, process-pool parity, and the on-disk cache."""
 
 import json
+import multiprocessing
 import os
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -13,7 +15,8 @@ from repro.harness import (
     resolve_jobs,
     run_sweep,
 )
-from repro.harness.runner import Runner
+from repro.harness import runner as runner_module
+from repro.harness.runner import Runner, execute_spec
 from repro.sim.units import MS
 
 TINY = RunSettings(warmup_ns=5 * MS, measure_ns=40 * MS, drain_ns=30 * MS, seed=2)
@@ -24,6 +27,17 @@ SWEEP = SweepSpec(
     loads=(24_000, 30_000, 36_000),
     settings=TINY,
 )
+
+
+def exit_on_first_load(spec):
+    """Stands in for ``execute_spec``: the worker given 24K RPS dies.
+
+    Module-level, so the pool pickles it by name; forked workers inherit
+    the patched ``execute_spec`` that points here.
+    """
+    if spec.target_rps == 24_000:
+        os._exit(3)
+    return execute_spec(spec)
 
 
 def record_json(records):
@@ -75,6 +89,20 @@ class TestRunnerMechanics:
     def test_map_preserves_item_order(self):
         runner = Runner(jobs=2)
         assert runner.map(abs, [-3, 1, -2]) == [3, 1, 2]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched execute_spec only when they are forked",
+    )
+    def test_dead_worker_names_the_sweep_point(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_spec", exit_on_first_load)
+        with pytest.raises(RuntimeError) as info:
+            Runner(jobs=2).run(SWEEP.expand()[:2])
+        assert str(info.value).startswith(
+            "sweep point 0 (apache/perf/24000/2) did not complete: "
+            "a pool worker died"
+        )
+        assert isinstance(info.value.__cause__, BrokenExecutor)
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import LatencyStats
 
@@ -118,3 +121,47 @@ class TestLatencyStats:
         a = LatencyStats.from_values(values)
         b = LatencyStats.from_values(sorted(values))
         assert a.p95_ns == b.p95_ns
+
+
+def build_slack_controller():
+    from repro.cpu import ProcessorConfig
+    from repro.ext.slack import SlackController
+    from repro.oskernel import CpufreqDriver, IRQController
+    from repro.sim import Simulator
+    from repro.sim.units import MS
+
+    sim = Simulator()
+    package = ProcessorConfig(n_cores=1).build_package(sim)
+    return SlackController(
+        sim, CpufreqDriver(sim, package), IRQController(sim, package),
+        sla_ns=10 * MS, min_samples=1,
+    )
+
+
+class TestMatchesNumpy:
+    """numpy's ``percentile``, ``mean`` and ``max`` stay the reference:
+    the standard-library summaries must equal them bit for bit."""
+
+    @given(values=st.lists(
+        st.integers(min_value=0, max_value=10**12), min_size=1, max_size=2_000
+    ))
+    @example(values=[7])
+    @example(values=[3, 10**12])
+    @settings(max_examples=200, deadline=None)
+    def test_every_field_equals_numpy(self, values):
+        arr = np.asarray(values, dtype=np.float64)
+        stats = LatencyStats.from_values(values)
+        p50, p90, p95, p99 = np.percentile(arr, [50, 90, 95, 99])
+        assert stats.count == arr.size
+        assert stats.p50_ns == p50
+        assert stats.p90_ns == p90
+        assert stats.p95_ns == p95
+        assert stats.p99_ns == p99
+        assert stats.mean_ns == arr.mean()
+        assert stats.max_ns == arr.max()
+
+        controller = build_slack_controller()
+        for value in values:
+            controller.observe(value)
+        controller._adjust()
+        assert controller.last_p95_ns == np.percentile(arr, 95)
