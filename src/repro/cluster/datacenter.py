@@ -30,12 +30,12 @@ shape), or a generated profile name (``"uniform"``, ``"zipf:<s>"``) so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.apps.workload import check_app, generate_load_shares
 from repro.cluster.frontend import FrontendConfig
 from repro.cluster.policies import PolicyConfig
-from repro.cluster.simulation import check_run_window
+from repro.cluster.simulation import ExperimentConfig, ShardResult, check_run_window
 from repro.cpu.energy import EnergyReport
 from repro.harness.record import ResultRecord
 from repro.metrics.latency import LatencyStats
@@ -112,6 +112,21 @@ class DatacenterConfig:
         total = sum(shares)
         return tuple(s / total for s in shares)
 
+    def server_config(self, share: float) -> ExperimentConfig:
+        """The config a fleet server with load ``share`` is built from: the
+        fleet's app, policy, windows and seed, ``total_rps * share`` over
+        ``clients_per_server`` clients, every other field at its default."""
+        return ExperimentConfig(
+            app=self.app,
+            policy=self.policy,
+            target_rps=self.total_rps * share,
+            n_clients=self.clients_per_server,
+            warmup_ns=self.warmup_ns,
+            measure_ns=self.measure_ns,
+            drain_ns=self.drain_ns,
+            seed=self.seed,
+        )
+
     @property
     def end_ns(self) -> int:
         return self.warmup_ns + self.measure_ns + self.drain_ns
@@ -128,30 +143,20 @@ class ServerOutcome:
 
 
 @dataclass
-class ShardStats:
-    """Execution statistics of one shard (never part of the merged record:
-    wall time depends on the machine, not on the simulated system)."""
-
-    shard_index: int
-    server_indices: List[int]
-    events: int
-    wall_s: float
-    profile: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
 class DatacenterResult:
     config: DatacenterConfig
     servers: List[ServerOutcome]
-    #: Per-shard execution stats (empty for the legacy in-process path).
-    shards: List[ShardStats] = field(default_factory=list)
+    #: Each shard's result with its measures and trace emptied: execution
+    #: stats, never part of the record (wall time depends on the machine,
+    #: not on the simulated system).
+    shards: List[ShardResult] = field(default_factory=list)
     #: The merged fleet-level record — bit-identical across shard counts.
     record: Optional[ResultRecord] = None
     #: Merged cross-shard request traces (``trace_requests=`` runs only);
     #: a :class:`~repro.telemetry.tracing.FleetTraceBundle`.
     trace: Optional[object] = None
     #: Window/imbalance profile (``profile_fleet=`` runs only); wall-clock
-    #: data, so — like :class:`ShardStats` — never part of the record.
+    #: data, so — like ``shards`` — never part of the record.
     fleet_profile: Optional[object] = None
 
     @property

@@ -3,11 +3,15 @@
 pd-gem5 — the simulator NCAP was evaluated on — parallelizes a cluster
 by giving every node its own simulator process and synchronizing them in
 fixed time quanta no larger than the minimum cross-node latency.  This
-module is that shape in Python:
+module is that shape in Python, as the coordinator, its pool plumbing
+and the merge:
 
-- a :class:`ShardRun` owns one :class:`~repro.sim.kernel.Simulator` with
-  a contiguous slice of the fleet's servers (plus their client pools or
-  frontend ports and a shard-local switch);
+- a :class:`~repro.cluster.simulation.ShardRun` (re-exported here with
+  ``ShardResult`` and ``MAX_RECORDED_SERVERS``) owns one
+  :class:`~repro.sim.kernel.Simulator` with a contiguous slice of the
+  fleet's servers (plus their client pools or frontend ports and a
+  shard-local switch), each built from
+  :meth:`~repro.cluster.datacenter.DatacenterConfig.server_config`;
 - a :class:`ShardedDatacenterRun` coordinator advances every shard to
   the same boundary, window by window, injecting the frontend tier's
   planned dispatches at the top of each window.
@@ -41,47 +45,28 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.client import OpenLoopClient
-from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
-from repro.cluster.datacenter import (
-    DatacenterConfig,
-    DatacenterResult,
-    ServerOutcome,
-    ShardStats,
-)
-from repro.cluster.frontend import Dispatch, FrontendPlanner, FrontendPort
-from repro.cluster.node import ServerNode
+from repro.apps.workload import sla_for
+from repro.cluster.datacenter import DatacenterConfig, DatacenterResult, ServerOutcome
+from repro.cluster.frontend import Dispatch, FrontendPlanner
 from repro.cluster.simulation import (
+    MAX_RECORDED_SERVERS,
     SINGLE_RUN_ONLY,
     Observers,
     ServerMeasure,
-    Station,
-    arm_window,
-    client_pool,
+    ShardResult,
+    ShardRun,
 )
 from repro.harness.hashing import config_hash
 from repro.harness.record import ResultRecord
 from repro.harness.runner import pool_result, resolve_jobs
 from repro.metrics.energy import average_power_w
 from repro.metrics.latency import LatencyStats
-from repro.net.switch import Switch
 from repro.profiling.fleet import FleetProfile, WindowSample
-from repro.profiling.profiler import SimProfiler
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 from repro.telemetry.recorder import merge_timeseries_bundles
-from repro.telemetry.tracing import (
-    FleetTraceBundle,
-    RequestTraceCollector,
-    merge_fleet_traces,
-)
-
-#: At most this many servers get a flight recorder in a recorded run
-#: (always the lowest indices, independent of sharding).
-MAX_RECORDED_SERVERS = 4
+from repro.telemetry.tracing import FleetTraceBundle, merge_fleet_traces
 
 
 def shard_plan(n_servers: int, n_shards: int) -> List[List[int]]:
@@ -111,172 +96,16 @@ def conservative_window_ns(config: DatacenterConfig) -> int:
     """
     if config.frontend is not None:
         return config.frontend.dispatch_latency_ns
-    burst_size = default_burst_size(config.app)
-    periods = [
-        burst_period_ns(
-            config.total_rps * share, config.clients_per_server, burst_size
-        )
+    return min(
+        config.server_config(share).burst_period_ns
         for share in config.resolved_shares()
-    ]
-    return max(1, min(periods))
-
-
-@dataclass
-class ShardResult:
-    """Everything one shard reports after its final window."""
-
-    shard_index: int
-    server_indices: List[int]
-    measures: List[ServerMeasure]
-    events: int
-    wall_s: float
-    profile: Dict[str, object] = field(default_factory=dict)
-    #: Per-shard request-trace payload (sampled spans), when tracing.
-    trace: Dict[str, object] = field(default_factory=dict)
-
-
-class ShardRun:
-    """One shard: a simulator owning a slice of the fleet's servers.
-
-    The build replicates the classic single-process datacenter topology
-    for exactly the servers in ``server_indices``: one
-    :class:`~repro.cluster.simulation.Station` per server on a shard-local
-    switch (global names are kept: shard placement is invisible to the
-    simulated system).  Every server after the first
-    :data:`MAX_RECORDED_SERVERS` is built without a flight recorder.
-    """
-
-    def __init__(
-        self,
-        config: DatacenterConfig,
-        shard_index: int,
-        server_indices: Sequence[int],
-        *,
-        observers: Observers = Observers(),
-    ):
-        self.config = config
-        self.shard_index = shard_index
-        self.server_indices = list(server_indices)
-        self.window = (config.warmup_ns, config.warmup_ns + config.measure_ns)
-        self.sim = Simulator()
-        #: The shard's own profiler, reported in :attr:`ShardResult.profile`.
-        self.profiler = SimProfiler() if observers.profile else None
-        if self.profiler is not None:
-            self.profiler.attach(self.sim)
-        self.rng = RngRegistry(config.seed)
-        self.switch = Switch(self.sim)
-        self.stations: List[Station] = []
-        self.frontend_ports: Dict[int, FrontendPort] = {}
-        self.wall_s = 0.0
-        #: Wall/event deltas of the most recent ``advance`` window (the
-        #: coordinator's window profiler and monitor read these).
-        self.last_window_wall_s = 0.0
-        self.last_window_events = 0
-        self.tracer: Optional[RequestTraceCollector] = None
-        if observers.trace_requests is not None:
-            self.tracer = RequestTraceCollector(observers.trace_requests.sample_every)
-        unrecorded = replace(observers, record_timeseries=None)
-
-        shares = config.resolved_shares()
-        burst_size = default_burst_size(config.app)
-        for i in self.server_indices:
-            server = ServerNode(
-                self.sim, f"server{i}", config.policy, config.app, self.rng
-            )
-            if self.tracer is not None:
-                self.tracer.attach_server(i, server)
-            clients: List[OpenLoopClient] = []
-            sources = None
-            if config.frontend is not None:
-                port = FrontendPort(self.sim, f"frontend{i}")
-                self.frontend_ports[i] = port
-                if self.tracer is not None:
-                    self.tracer.attach_port(i, port)
-                sources = [port]
-            else:
-                rps = config.total_rps * shares[i]
-                clients = client_pool(
-                    self.sim, self.rng, config.app, server.name,
-                    [f"client{i}_{j}" for j in range(config.clients_per_server)],
-                    burst_size=burst_size,
-                    burst_period_ns=burst_period_ns(
-                        rps, config.clients_per_server, burst_size
-                    ),
-                    jitter_fraction=0.30,
-                )
-            # Per-server observers are placement-independent (they read
-            # only the server's own meters/governor/registry), so serial,
-            # sharded, and pooled runs produce identical payloads.
-            self.stations.append(
-                Station(
-                    self.sim, self.switch, server, clients, sources,
-                    observers=observers if i < MAX_RECORDED_SERVERS else unrecorded,
-                )
-            )
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        """Start every station and arm the measurement window."""
-        for station in self.stations:
-            station.start()
-        arm_window(self.sim, self.stations, self.window)
-
-    def advance(
-        self,
-        until_ns: int,
-        injections: Sequence[Tuple[int, int, object]] = (),
-    ) -> Dict[int, int]:
-        """Inject planned dispatches and run to ``until_ns``.
-
-        ``injections`` is ``(send_ns, server_index, frame)``, time-ordered,
-        every send inside ``(now, until_ns]``.  Returns the per-server
-        outstanding-request counts at the boundary (frontend mode; empty
-        otherwise) — the load view the spray policies consume.
-        """
-        t0 = time.perf_counter()
-        events_before = self.sim.events_executed
-        if injections:
-            grouped: Dict[int, List[Tuple[int, object]]] = {}
-            for send_ns, server_index, frame in injections:
-                grouped.setdefault(server_index, []).append((send_ns, frame))
-            for server_index, dispatches in grouped.items():
-                self.frontend_ports[server_index].inject(dispatches)
-        self.sim.run(until=until_ns)
-        self.last_window_wall_s = time.perf_counter() - t0
-        self.last_window_events = self.sim.events_executed - events_before
-        self.wall_s += self.last_window_wall_s
-        if self.frontend_ports:
-            return {
-                i: port.outstanding for i, port in self.frontend_ports.items()
-            }
-        return {}
-
-    # -- collection ------------------------------------------------------
-
-    def collect(self) -> ShardResult:
-        """Per-server measurements after the final window."""
-        return ShardResult(
-            shard_index=self.shard_index,
-            server_indices=list(self.server_indices),
-            measures=[
-                station.measure(self.window, i)
-                for i, station in zip(self.server_indices, self.stations)
-            ],
-            events=self.sim.events_executed,
-            wall_s=self.wall_s,
-            profile=(
-                self.profiler.profile().to_json_dict()
-                if self.profiler is not None
-                else {}
-            ),
-            trace=self.tracer.payload() if self.tracer is not None else {},
-        )
+    )
 
 
 class _ShardHost:
     """Several ShardRuns hosted in one process (the whole fleet in serial
-    mode; one slot's share of the shards in pool mode)."""
+    mode; one slot's share of the shards in pool mode), each server built
+    from ``config.server_config`` of its load share."""
 
     def __init__(
         self,
@@ -284,8 +113,14 @@ class _ShardHost:
         assignments: Dict[int, List[int]],
         observers: Observers,
     ):
+        shares = config.resolved_shares()
         self.shards: Dict[int, ShardRun] = {
-            k: ShardRun(config, k, assignments[k], observers=observers)
+            k: ShardRun(
+                [(i, config.server_config(shares[i])) for i in assignments[k]],
+                frontend=config.frontend is not None,
+                observers=observers,
+                shard_index=k,
+            )
             for k in sorted(assignments)
         }
 
@@ -653,16 +488,6 @@ class ShardedDatacenterRun:
                 )
             )
 
-        shard_stats = [
-            ShardStats(
-                shard_index=r.shard_index,
-                server_indices=list(r.server_indices),
-                events=r.events,
-                wall_s=r.wall_s,
-                profile=r.profile,
-            )
-            for r in shard_results
-        ]
         trace_bundle: Optional[FleetTraceBundle] = None
         fleet_section: Dict[str, object] = {}
         if self.observers.trace_requests is not None and planner is not None:
@@ -679,7 +504,8 @@ class ShardedDatacenterRun:
         return DatacenterResult(
             config=config,
             servers=outcomes,
-            shards=shard_stats,
+            # Per-server RTTs and trace spans stay out of the result.
+            shards=[replace(r, measures=[], trace={}) for r in shard_results],
             record=build_fleet_record(config, measures, fleet=fleet_section),
             trace=trace_bundle,
             fleet_profile=fleet_profile,
@@ -699,7 +525,8 @@ def build_fleet_record(
     and sha256 — is independent of shard count and worker placement.
     ``n_shards`` is an execution detail, not an experiment identity, so
     the config hash is taken with it normalized to 1; wall-clock facts
-    live on :class:`~repro.cluster.datacenter.ShardStats` instead.
+    live on each :class:`~repro.cluster.simulation.ShardResult` of
+    ``DatacenterResult.shards`` instead.
     """
     if not measures:
         raise ValueError("cannot build a fleet record from zero servers")

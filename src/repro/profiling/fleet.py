@@ -21,8 +21,8 @@ share-aware shard planner would need to justify itself:
   barrier waited for the slowest one.
 
 All of it is wall-clock observer data: it lives on
-:class:`~repro.cluster.datacenter.DatacenterResult` (like ``ShardStats``)
-and never enters the ResultRecord, whose contents stay a pure function of
+:class:`~repro.cluster.datacenter.DatacenterResult` (like its per-shard
+``shards``) and never enters the ResultRecord, whose contents stay a pure function of
 the config.
 """
 

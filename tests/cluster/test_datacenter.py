@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.apps.workload import default_burst_size
 from repro.cluster.datacenter import DatacenterConfig, run_datacenter
-from repro.cluster.sharding import ShardedDatacenterRun
+from repro.cluster.sharding import ShardedDatacenterRun, conservative_window_ns
+from repro.cluster.simulation import BURST_JITTER
 from repro.sim.units import MS
 
 
@@ -48,6 +50,22 @@ class TestTopology:
         p1 = s1.clients[0].burst_period_ns
         # 70/30 split: server1's clients burst ~2.33x less often.
         assert p1 / p0 == pytest.approx(7 / 3, rel=0.01)
+
+    def test_servers_come_from_the_shared_builder(self):
+        config = tiny_config(n_servers=4, load_shares=(0.4, 0.3, 0.2, 0.1))
+        (shard,) = ShardedDatacenterRun(config, jobs=1).inline_shards()
+        shares = config.resolved_shares()
+        periods = []
+        for i, station in enumerate(shard.stations):
+            assert station.server.name == f"server{i}"
+            assert [c.name for c in station.clients] == [f"client{i}_0", f"client{i}_1"]
+            period = config.server_config(shares[i]).burst_period_ns
+            for client in station.clients:
+                assert client.jitter_fraction == BURST_JITTER
+                assert client.burst_size == default_burst_size("apache")
+                assert client.burst_period_ns == period
+            periods.append(period)
+        assert conservative_window_ns(config) == min(periods)
 
 
 class TestRun:
