@@ -1,7 +1,6 @@
 """Application substrate: OLDI server models and open-loop clients."""
 
 import random
-from typing import Optional
 
 from repro.apps.apache import ApacheApp, ApacheProfile
 from repro.apps.base import ServerApp
@@ -34,21 +33,13 @@ def make_app(
     costs: NetStackCosts,
     rng: random.Random,
     name: str,
-    apache_profile: Optional[ApacheProfile] = None,
-    memcached_profile: Optional[MemcachedProfile] = None,
 ) -> ServerApp:
-    """The server application called ``app``, transmitting via ``driver``
-    and sharing its telemetry."""
+    """The server application called ``app`` with its default profile,
+    transmitting via ``driver`` and sharing its telemetry."""
     if app == "apache":
-        return ApacheApp(
-            sim, scheduler, driver, costs, rng, name=name,
-            profile=apache_profile or ApacheProfile(),
-        )
+        return ApacheApp(sim, scheduler, driver, costs, rng, name=name)
     if app == "memcached":
-        return MemcachedApp(
-            sim, scheduler, driver, costs, rng, name=name,
-            profile=memcached_profile or MemcachedProfile(),
-        )
+        return MemcachedApp(sim, scheduler, driver, costs, rng, name=name)
     raise ValueError(f"unknown app {app!r}")
 
 

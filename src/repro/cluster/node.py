@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.apps import make_app
-from repro.apps.apache import ApacheProfile
-from repro.apps.memcached import MemcachedProfile
 from repro.core.config import NCAPConfig
 from repro.core.ncap_driver import NCAPDriverExtension
 from repro.core.ncap_nic import NCAPHardware
@@ -26,7 +24,6 @@ from repro.core.ncap_sw import NCAPSoftware
 from repro.cluster.policies import PolicyConfig, get_policy
 from repro.cpu.config import ProcessorConfig
 from repro.net.driver import NICDriver
-from repro.net.interrupts import ModerationConfig
 from repro.net.link import LinkPort
 from repro.net.nic import NIC
 from repro.net.packet import Frame
@@ -59,13 +56,9 @@ class ServerNode:
         rng: RngRegistry,
         telemetry: Optional[Telemetry] = None,
         processor: ProcessorConfig = ProcessorConfig(),
-        netstack: NetStackCosts = NetStackCosts(),
-        moderation: ModerationConfig = ModerationConfig(),
         ondemand_period_ns: int = 10 * MS,
         nic_dma_latency_ns: Optional[int] = None,
         ncap_base_config: Optional[NCAPConfig] = None,
-        apache_profile: Optional[ApacheProfile] = None,
-        memcached_profile: Optional[MemcachedProfile] = None,
     ):
         self.sim = sim
         self.name = name
@@ -116,17 +109,14 @@ class ServerNode:
         nic_kwargs = {}
         if nic_dma_latency_ns is not None:
             nic_kwargs["dma_latency_ns"] = nic_dma_latency_ns
-        self.nic = NIC(
-            sim, name=name, moderation=moderation,
-            telemetry=self.telemetry, **nic_kwargs,
-        )
+        self.nic = NIC(sim, name=name, telemetry=self.telemetry, **nic_kwargs)
+        netstack = NetStackCosts()
         self.driver = NICDriver(sim, self.nic, self.irq, netstack)
 
         # -- application --
         self.app = make_app(
             app, sim, self.scheduler, self.driver, netstack,
             rng.stream(f"{name}.{app}"), name,
-            apache_profile=apache_profile, memcached_profile=memcached_profile,
         )
         self.driver.packet_sink = self.app.on_packet
 

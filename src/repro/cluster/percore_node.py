@@ -28,7 +28,6 @@ from repro.cpu.config import ProcessorConfig
 from repro.cpu.core import Core
 from repro.cpu.multidomain import MultiDomainProcessor
 from repro.net.driver import NICDriver
-from repro.net.interrupts import ModerationConfig
 from repro.net.link import LinkPort
 from repro.net.multiqueue import MultiQueueNIC
 from repro.net.packet import Frame
@@ -81,8 +80,6 @@ class PerCoreServerNode:
         rng: RngRegistry,
         telemetry: Optional[Telemetry] = None,
         processor: ProcessorConfig = ProcessorConfig(),
-        netstack: NetStackCosts = NetStackCosts(),
-        moderation: ModerationConfig = ModerationConfig(),
         ondemand_period_ns: int = 10 * MS,
         ncap_config: Optional[NCAPConfig] = None,
         fcons: int = 5,
@@ -116,9 +113,9 @@ class PerCoreServerNode:
 
         # NIC: one queue per core, one driver per queue.
         self.nic = MultiQueueNIC(
-            sim, name=name, n_queues=processor.n_cores, moderation=moderation,
-            telemetry=self.telemetry,
+            sim, name=name, n_queues=processor.n_cores, telemetry=self.telemetry
         )
+        netstack = NetStackCosts()
         self.drivers: List[NICDriver] = [
             NICDriver(
                 sim, queue, self.irq, netstack, core_id=i,

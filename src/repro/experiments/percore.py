@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from repro.apps.workload import burst_period_ns, default_burst_size, load_level, sla_for
 from repro.cluster.percore_node import PerCoreServerNode
-from repro.cluster.simulation import ExperimentConfig, client_pool, run_experiment
+from repro.cluster.simulation import BURST_JITTER, ExperimentConfig, client_pool, run_experiment
 from repro.experiments.common import RunSettings, run_star
 from repro.harness import Runner
 from repro.metrics.report import format_table
@@ -52,7 +52,7 @@ def run_percore(
         sim, rng, app, "server", [f"client{i}" for i in range(n_clients)],
         burst_size=burst_size,
         burst_period_ns=burst_period_ns(target_rps, n_clients, burst_size),
-        jitter_fraction=0.30,
+        jitter_fraction=BURST_JITTER,
     )
     latency, energy = run_star(sim, server, clients, settings)
     return VariantResult(

@@ -27,7 +27,6 @@ from repro.core.req_monitor import ReqMonitor
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.multidomain import MultiDomainProcessor
 from repro.net.driver import NICDriver
-from repro.net.interrupts import ModerationConfig
 from repro.net.link import LinkPort
 from repro.net.multiqueue import MultiQueueNIC
 from repro.net.packet import Frame
@@ -64,8 +63,6 @@ class AdrenalineServerNode:
         app: str,
         rng: RngRegistry,
         processor: ProcessorConfig = ProcessorConfig(),
-        netstack: NetStackCosts = NetStackCosts(),
-        moderation: ModerationConfig = ModerationConfig(),
         config: AdrenalineConfig = AdrenalineConfig(),
     ):
         self.sim = sim
@@ -96,8 +93,7 @@ class AdrenalineServerNode:
 
         n_queues = processor.n_cores
         self.nic = MultiQueueNIC(
-            sim, name=name, n_queues=n_queues, moderation=moderation,
-            telemetry=self.telemetry,
+            sim, name=name, n_queues=n_queues, telemetry=self.telemetry
         )
         self.monitor = ReqMonitor(
             config.templates, telemetry=self.telemetry, stats_prefix="adrenaline"
@@ -108,6 +104,7 @@ class AdrenalineServerNode:
         self.boosts = 0
         self.unboosts = 0
         self.drivers: List[NICDriver] = []
+        netstack = NetStackCosts()
         for i, queue in enumerate(self.nic.queues):
             driver = NICDriver(
                 sim, queue, self.irq, netstack, core_id=i,

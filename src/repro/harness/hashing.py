@@ -5,8 +5,8 @@ computes: dataclass field declaration order, passing a default value
 explicitly versus omitting it, int-versus-float spellings of the same
 number (``target_rps=24_000`` and ``24_000.0``), and tuple-versus-list
 containers.  They must *change* for anything that does: any field of the
-config or of a nested ``ProcessorConfig`` / ``NetStackCosts`` /
-``ModerationConfig`` / ``NCAPConfig`` / ``PolicyConfig``.
+config or of a nested ``ProcessorConfig`` / ``NCAPConfig`` /
+``PolicyConfig``.
 
 The canonical form is a JSON document with sorted keys; the key is its
 SHA-256.  ``HASH_SCHEMA_VERSION`` is mixed in so that a change to the

@@ -14,7 +14,7 @@ from typing import Dict
 from repro.net.link import Link, LinkPort, NetDevice
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
-from repro.sim.units import US, gbps
+from repro.sim.units import US
 
 
 class Switch:
@@ -28,19 +28,15 @@ class Switch:
         self.frames_forwarded = 0
         self.frames_dropped = 0
 
-    def connect(
-        self,
-        device: NetDevice,
-        bandwidth_bps: float = gbps(10),
-        latency_ns: int = 1 * US,
-    ) -> Link:
-        """Wire ``device`` to this switch over a new link (star topology).
+    def connect(self, device: NetDevice) -> Link:
+        """Wire ``device`` to this switch over a new Table 1 link (star
+        topology: 10 Gb/s, 1 µs).
 
         ``device`` takes its transmit port on the link through its
         ``attach_port``, and frames addressed to ``device.name`` leave
         through the link's other end.
         """
-        link = Link(self._sim, bandwidth_bps, latency_ns)
+        link = Link(self._sim)
         link.attach(device, self)
         device.attach_port(link.endpoint_port(device))
         self.attach_link(link, device.name)

@@ -8,7 +8,6 @@ from repro.cluster.simulation import ExperimentConfig
 from repro.core.config import NCAPConfig
 from repro.cpu.config import ProcessorConfig
 from repro.harness import canonical_json, config_hash
-from repro.oskernel.netstack import NetStackCosts
 
 
 class TestConfigHashStability:
@@ -22,7 +21,6 @@ class TestConfigHashStability:
             n_clients=3,
             seed=1,
             processor=ProcessorConfig(),
-            netstack=NetStackCosts(),
         )
         assert implicit == explicit
         assert config_hash(implicit) == config_hash(explicit)
@@ -45,16 +43,6 @@ class TestConfigHashStability:
         base = ExperimentConfig()
         tweaked = ExperimentConfig(
             processor=dataclasses.replace(ProcessorConfig(), n_cores=8)
-        )
-        assert config_hash(base) != config_hash(tweaked)
-
-    def test_nested_netstack_override_changes_hash(self):
-        base = ExperimentConfig()
-        costs = NetStackCosts()
-        tweaked = ExperimentConfig(
-            netstack=dataclasses.replace(
-                costs, rx_per_packet_cycles=costs.rx_per_packet_cycles + 1
-            )
         )
         assert config_hash(base) != config_hash(tweaked)
 
