@@ -29,7 +29,7 @@ Any violation raises :class:`AuditError` from
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.telemetry.events import CStateTransition, RequestPhase
 

@@ -326,11 +326,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         title=f"Flight recorder - {config.app} / {config.policy}",
     )
     path = write_dashboard(page, args.out)
-    n_series = len(result.timeseries.series)
-    print(
-        f"wrote dashboard ({n_series} series, "
-        f"{len(result.timeseries.fired)} watchpoint firings) to {path}"
-    )
+    print(f"wrote dashboard ({len(result.timeseries.series)} series) to {path}")
     return 0
 
 

@@ -16,9 +16,6 @@ the quantities every figure and the dashboard timeline panels read:
 ``app.responses``   cumulative responses produced by the app (counter)
 ==================  ====================================================
 
-plus any extra registry subtrees named in
-:attr:`~repro.telemetry.recorder.RecorderConfig.patterns`.
-
 Utilization and power are *windowed* gauges: closures snapshot the
 package's cumulative busy-ns / energy at each tick and record the delta
 over the elapsed interval.  At a 1 ms cadence these are the series the
@@ -97,26 +94,16 @@ def build_server_recorder(
 ) -> TimeSeriesRecorder:
     """A recorder pre-loaded with the standard series for ``server``.
 
-    The recorder is returned un-started so callers can add watchpoints or
-    extra sources first.
+    The recorder is returned un-started so callers can add extra sources
+    first.
     """
     config = config or RecorderConfig.coarse()
     recorder = TimeSeriesRecorder(
-        sim,
-        telemetry=server.telemetry,
-        interval_ns=config.interval_ns,
-        capacity=config.capacity,
+        sim, telemetry=server.telemetry, interval_ns=config.interval_ns
     )
     package = server.package
 
     recorder.add_source("cpu.freq_ghz", lambda: package.frequency_hz / 1e9)
-    domains = getattr(package, "domains", None)
-    if domains is not None:
-        for i, domain in enumerate(domains):
-            recorder.add_source(
-                f"cpu.domain{i}.freq_ghz",
-                (lambda d: lambda: d.frequency_hz / 1e9)(domain),
-            )
     for i, core in enumerate(package.cores):
         recorder.add_source(f"core{i}.cstate", cstate_source(core))
 
@@ -129,6 +116,4 @@ def build_server_recorder(
     for name in STANDARD_COUNTERS:
         if registry.get(name) is not None:
             recorder.add_stat(name)
-    for pattern in config.patterns:
-        recorder.add_pattern(pattern)
     return recorder

@@ -61,7 +61,6 @@ from repro.telemetry.tracing import (
     TraceConfig,
     resolve_trace_config,
 )
-from repro.telemetry.triggers import Watchpoint
 
 
 def check_run_window(warmup_ns: int, measure_ns: int, drain_ns: int) -> None:
@@ -248,7 +247,6 @@ class Observers:
     sinks: Tuple[object, ...] = ()
     audit: bool = False
     record_timeseries: Optional[RecorderConfig] = None
-    watchpoints: Tuple[Watchpoint, ...] = ()
     profile: bool = False
     energy_attribution: bool = False
     trace_requests: Optional[TraceConfig] = None
@@ -262,7 +260,6 @@ class Observers:
         sinks: Optional[Iterable[object]] = None,
         audit: bool = False,
         record_timeseries: Union[None, bool, str, RecorderConfig] = None,
-        watchpoints: Optional[Iterable[Watchpoint]] = None,
         profile: bool = False,
         energy_attribution: bool = False,
         trace_requests: Union[None, bool, int, TraceConfig] = None,
@@ -278,8 +275,6 @@ class Observers:
           gets every client's RTTs and fills ``attribution``.
         - ``audit``: an :class:`~repro.analysis.audit.InvariantAuditor`;
           any inconsistency raises ``AuditError`` at collection.
-        - ``watchpoints``: :class:`~repro.telemetry.triggers.Watchpoint`
-          triggers armed on the flight recorder.
 
         Fleet runs (``ShardedDatacenterRun``, ``run_datacenter``,
         ``run_preset``) only:
@@ -319,7 +314,6 @@ class Observers:
             sinks=tuple(sinks or ()),
             audit=bool(audit),
             record_timeseries=resolve_recorder_config(record_timeseries),
-            watchpoints=tuple(watchpoints or ()),
             profile=profile,
             energy_attribution=bool(energy_attribution),
             trace_requests=resolve_trace_config(trace_requests),
@@ -342,7 +336,7 @@ class Observers:
 
 #: Observers only a fleet run carries, and those only a single run does.
 FLEET_ONLY = ("trace_requests", "profile_fleet", "monitor")
-SINGLE_RUN_ONLY = ("sinks", "audit", "watchpoints")
+SINGLE_RUN_ONLY = ("sinks", "audit")
 
 
 def client_pool(
@@ -379,6 +373,30 @@ def client_pool(
     return clients
 
 
+def station_clients(
+    sim: Simulator,
+    rng: RngRegistry,
+    config: ExperimentConfig,
+    server_name: str,
+    index: Optional[int] = None,
+) -> List[OpenLoopClient]:
+    """The standard client pool ``config`` describes for ``server_name``:
+    ``n_clients`` clients sending ``resolved_burst_size`` requests every
+    ``burst_period_ns``, with :data:`BURST_JITTER`.
+
+    ``index=None`` names them ``client<j>`` (a single run); fleet server
+    ``i``'s are ``client<i>_<j>``.
+    """
+    prefix = "client" if index is None else f"client{index}_"
+    return client_pool(
+        sim, rng, config.app, server_name,
+        [f"{prefix}{j}" for j in range(config.n_clients)],
+        burst_size=config.resolved_burst_size,
+        burst_period_ns=config.burst_period_ns,
+        jitter_fraction=BURST_JITTER,
+    )
+
+
 class Station:
     """One server, its traffic sources and its per-server observers, wired
     into a star around ``switch``.
@@ -389,7 +407,7 @@ class Station:
     fleet server passes its frontend port as its only source.  Of the
     ``observers`` the station builds the per-server ones: the idle
     accounting (``energy_attribution``) and the flight recorder
-    (``record_timeseries``) with its ``watchpoints``.
+    (``record_timeseries``).
     """
 
     def __init__(
@@ -414,14 +432,11 @@ class Station:
             self.accounting = build_idle_accounting(
                 server.package.cstates,
                 cpuidle.governor if cpuidle is not None else None,
-                telemetry=server.telemetry,
             )
             self.accounting.attach(server.package.cores)
         self.recorder: Optional[TimeSeriesRecorder] = None
         if observers.record_timeseries is not None:
             self.recorder = build_server_recorder(sim, server, observers.record_timeseries)
-            for watchpoint in observers.watchpoints:
-                self.recorder.add_watchpoint(watchpoint)
         for device in (server, *self.sources):
             switch.connect(device)
         self._marks: List[Tuple[EnergyReport, List[int], Optional[Dict]]] = []
@@ -558,14 +573,7 @@ def build_station(
     )
     clients: List[OpenLoopClient] = []
     if sources is None:
-        prefix = "client" if index is None else f"client{index}_"
-        clients = client_pool(
-            sim, rng, config.app, server.name,
-            [f"{prefix}{j}" for j in range(config.n_clients)],
-            burst_size=config.resolved_burst_size,
-            burst_period_ns=config.burst_period_ns,
-            jitter_fraction=BURST_JITTER,
-        )
+        clients = station_clients(sim, rng, config, server.name, index)
     return Station(sim, switch, server, clients, sources, observers=observers)
 
 

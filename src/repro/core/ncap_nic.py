@@ -39,11 +39,7 @@ class NCAPHardware:
         # engine are hardware blocks on that NIC.
         self.telemetry = telemetry = nic.telemetry
         self.req_monitor = ReqMonitor(
-            config.templates,
-            sim=sim,
-            telemetry=telemetry,
-            stats_prefix=stats_prefix,
-            name=f"{nic.name}.ncap",
+            config.templates, telemetry=telemetry, stats_prefix=stats_prefix
         )
         self.tx_counter = TxBytesCounter(
             telemetry=telemetry, stats_prefix=stats_prefix

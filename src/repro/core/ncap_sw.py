@@ -44,12 +44,7 @@ class NCAPSoftware:
         self.config = config
         self.extension = extension
         self.telemetry = telemetry = driver.telemetry
-        self.req_monitor = ReqMonitor(
-            config.templates,
-            sim=sim,
-            telemetry=telemetry,
-            name=f"{driver.nic.name}.ncap_sw",
-        )
+        self.req_monitor = ReqMonitor(config.templates, telemetry=telemetry)
         self.tx_counter = TxBytesCounter(telemetry=telemetry)
 
         driver.rx_sw_taps.append(self._inspect_packet)

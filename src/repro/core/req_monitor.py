@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Frame
-from repro.sim.kernel import Simulator
-from repro.telemetry import PacketClassified, Telemetry, ensure_telemetry
+from repro.telemetry import Telemetry, ensure_telemetry
 
 
 class ReqMonitor:
@@ -27,20 +26,15 @@ class ReqMonitor:
     def __init__(
         self,
         templates: Sequence[bytes] = (b"GET", b"get"),
-        sim: Optional[Simulator] = None,
         telemetry: Optional[Telemetry] = None,
         stats_prefix: str = "ncap",
-        name: str = "ncap",
     ):
         self._templates: Tuple[bytes, ...] = ()
         self.program_templates(templates)
-        self._sim = sim
-        self.name = name
         self.telemetry = ensure_telemetry(telemetry)
         stats = self.telemetry.scope(stats_prefix)
         self._req_cnt = stats.counter("classified.lc")
         self._inspected = stats.counter("inspected")
-        self._classify_probe = self.telemetry.probe("ncap.classify")
         #: Called after every ReqCnt increment (DecisionEngine's CIT check).
         self.count_listeners: List[Callable[[], None]] = []
 
@@ -80,17 +74,9 @@ class ReqMonitor:
         Returns True (and bumps ReqCnt) for latency-critical requests.
         """
         self._inspected.inc()
-        critical = self.matches(frame.payload_prefix)
-        if critical:
-            self._req_cnt.inc()
-        if self._classify_probe.enabled and self._sim is not None:
-            self._classify_probe.emit(
-                PacketClassified(
-                    self._sim.now, self.name, critical, int(self._req_cnt.value)
-                )
-            )
-        if not critical:
+        if not self.matches(frame.payload_prefix):
             return False
+        self._req_cnt.inc()
         for listener in self.count_listeners:
             listener()
         return True

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.apps.workload import burst_period_ns, default_burst_size, load_level, sla_for
+from repro.apps.workload import load_level, sla_for
 from repro.cluster.percore_node import PerCoreServerNode
-from repro.cluster.simulation import BURST_JITTER, ExperimentConfig, client_pool, run_experiment
+from repro.cluster.simulation import ExperimentConfig, run_experiment, station_clients
 from repro.experiments.common import RunSettings, run_star
 from repro.harness import Runner
 from repro.metrics.report import format_table
@@ -47,13 +47,10 @@ def run_percore(
     sim = Simulator()
     rng = RngRegistry(settings.seed)
     server = PerCoreServerNode(sim, "server", app, rng, fcons=fcons)
-    burst_size = default_burst_size(app)
-    clients = client_pool(
-        sim, rng, app, "server", [f"client{i}" for i in range(n_clients)],
-        burst_size=burst_size,
-        burst_period_ns=burst_period_ns(target_rps, n_clients, burst_size),
-        jitter_fraction=BURST_JITTER,
+    config = ExperimentConfig.from_settings(
+        settings, app=app, target_rps=target_rps, n_clients=n_clients
     )
+    clients = station_clients(sim, rng, config, server.name)
     latency, energy = run_star(sim, server, clients, settings)
     return VariantResult(
         variant="ncap.percore",

@@ -34,14 +34,7 @@ from repro.net.link import LinkPort
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
 from repro.sim.units import US
-from repro.telemetry import (
-    NicRx,
-    NicTx,
-    RequestPhase,
-    RingOccupancy,
-    Telemetry,
-    ensure_telemetry,
-)
+from repro.telemetry import NicRx, NicTx, RequestPhase, Telemetry, ensure_telemetry
 
 
 class NIC:
@@ -87,7 +80,6 @@ class NIC:
         self._tx_bytes = stats.counter("tx.bytes")
         self._rx_probe = self.telemetry.probe("nic.rx")
         self._tx_probe = self.telemetry.probe("nic.tx")
-        self._ring_probe = self.telemetry.probe("nic.ring")
         self._span_probe = self.telemetry.probe("request.span")
 
         #: When enabled, completed transmissions set IT_TX and go through
@@ -165,16 +157,6 @@ class NIC:
         if len(self._rx_ring) >= self.rx_ring_size:
             self._rx_dropped_frames.inc()
             self._rx_dropped_bytes.inc(frame.wire_bytes)
-            if self._ring_probe.enabled:
-                self._ring_probe.emit(
-                    RingOccupancy(
-                        self._sim.now,
-                        self.name,
-                        len(self._rx_ring),
-                        self.rx_ring_size,
-                        dropped=True,
-                    )
-                )
             if self._span_probe.enabled and frame.kind == "request":
                 self._span_probe.emit(
                     RequestPhase(self._sim.now, frame.src, frame.req_id, "dropped")
@@ -183,16 +165,6 @@ class NIC:
         self._rx_ring.append(frame)
         self._rx_delivered_frames.inc()
         self._rx_delivered_bytes.inc(frame.wire_bytes)
-        if self._ring_probe.enabled:
-            self._ring_probe.emit(
-                RingOccupancy(
-                    self._sim.now,
-                    self.name,
-                    len(self._rx_ring),
-                    self.rx_ring_size,
-                    dropped=False,
-                )
-            )
         if self._span_probe.enabled and frame.kind == "request":
             self._span_probe.emit(
                 RequestPhase(self._sim.now, frame.src, frame.req_id, "dma")

@@ -33,7 +33,7 @@ from repro.cpu.core import Core, CoreState
 from repro.cpu.cstates import CState, CStateTable
 from repro.cpu.power import PowerMode
 from repro.sim.units import MS, US
-from repro.telemetry import GovernorDecision, GovernorMiss, Telemetry, ensure_telemetry
+from repro.telemetry import GovernorDecision, Telemetry, ensure_telemetry
 
 
 class _HistoryGovernorBase:
@@ -314,11 +314,7 @@ class CpuidleDriver:
         self.enabled = True
 
 
-def build_idle_accounting(
-    cstates: CStateTable,
-    governor=None,
-    telemetry: Optional[Telemetry] = None,
-) -> "IdleAccounting":
+def build_idle_accounting(cstates: CStateTable, governor=None) -> "IdleAccounting":
     """Accounting for a node: its governor's name and latency limit when
     cpuidle is active, the ``"none"`` pseudo-governor (cores poll in C0,
     every long idle period grades ``below``) otherwise."""
@@ -327,7 +323,7 @@ def build_idle_accounting(
     else:
         name = governor.name
         limit = getattr(governor, "latency_limit_ns", 10**12)
-    return IdleAccounting(cstates, name, limit, telemetry=telemetry)
+    return IdleAccounting(cstates, name, limit)
 
 
 #: Meter modes a core can occupy while idle, shallow to deep.  ``"idle"``
@@ -373,7 +369,6 @@ class IdleAccounting:
         cstates: CStateTable,
         governor: str,
         latency_limit_ns: int = 10**12,
-        telemetry: Optional[Telemetry] = None,
     ):
         self.cstates = cstates
         self.governor = governor
@@ -387,8 +382,6 @@ class IdleAccounting:
         self._last_e: Dict[int, Dict[str, float]] = {}
         self._last_r: Dict[int, Dict[str, int]] = {}
         self._cores: List[Core] = []
-        telemetry = ensure_telemetry(telemetry)
-        self._miss_probe = telemetry.probe("cpuidle.verdict")
 
     def attach(self, cores: Iterable[Core]) -> None:
         for core in cores:
@@ -454,36 +447,18 @@ class IdleAccounting:
             counts = self.decisions[core_id] = {"above": 0, "below": 0, "hit": 0}
         chosen_index = chosen.index if chosen is not None else 0
         oracle_index = oracle.index if oracle is not None else 0
-        cost_ns = 0
-        cost_j = 0.0
         if chosen_index > oracle_index:
             verdict = "above"
             assert chosen is not None
-            cost_ns = chosen.exit_latency_ns - (
+            self.above_ns += chosen.exit_latency_ns - (
                 oracle.exit_latency_ns if oracle is not None else 0
             )
-            self.above_ns += cost_ns
         elif chosen_index < oracle_index:
             verdict = "below"
-            cost_j = wasted_j
-            self.below_j += cost_j
+            self.below_j += wasted_j
         else:
             verdict = "hit"
         counts[verdict] += 1
-        if self._miss_probe.enabled:
-            self._miss_probe.emit(
-                GovernorMiss(
-                    core.sim.now,
-                    self.governor,
-                    core_id,
-                    chosen.name if chosen is not None else C0_NAME,
-                    state_name,
-                    verdict,
-                    realized_ns,
-                    cost_ns=cost_ns,
-                    cost_j=cost_j,
-                )
-            )
 
     # -- snapshots ----------------------------------------------------------
 

@@ -26,18 +26,14 @@ from typing import Any, List, Optional
 from repro.telemetry.events import (  # noqa: F401 - re-exported
     CStateTransition,
     GovernorDecision,
-    GovernorMiss,
     IrqDelivered,
     NcapWake,
     NicRx,
     NicTx,
-    PacketClassified,
     ProbeEvent,
     PStateChange,
     RequestAccounting,
     RequestPhase,
-    RingOccupancy,
-    WatchpointFired,
 )
 from repro.telemetry.probes import ProbeBus, ProbePoint  # noqa: F401
 from repro.telemetry.recorder import (  # noqa: F401 - re-exported
@@ -45,14 +41,6 @@ from repro.telemetry.recorder import (  # noqa: F401 - re-exported
     TimeseriesBundle,
     TimeSeriesRecorder,
     resolve_recorder_config,
-)
-from repro.telemetry.triggers import (  # noqa: F401 - re-exported
-    Watchpoint,
-    quantile_above,
-    rate_above,
-    spike,
-    threshold_above,
-    threshold_below,
 )
 from repro.telemetry.registry import (  # noqa: F401 - re-exported
     Counter,

@@ -14,14 +14,10 @@ Standard probe point names:
 ``irq.delivered``           :class:`IrqDelivered` (hardirq/softirq dispatch)
 ``nic.rx``                  :class:`NicRx` (wire arrival, pre-DMA)
 ``nic.tx``                  :class:`NicTx` (transmit observation point)
-``nic.ring``                :class:`RingOccupancy` (post-DMA ring depth)
 ``governor.decision``       :class:`GovernorDecision` (cpufreq + cpuidle)
-``cpuidle.verdict``         :class:`GovernorMiss` (idle-exit oracle verdicts)
-``ncap.classify``           :class:`PacketClassified` (ReqMonitor verdicts)
 ``ncap.wake``               :class:`NcapWake` (proactive wake interrupts)
 ``request.span``            :class:`RequestPhase` (per-request lifecycle)
 ``request.account``         :class:`RequestAccounting` (execution account)
-``telemetry.watchpoint``    :class:`WatchpointFired` (flight-recorder trips)
 ==========================  ================================================
 """
 
@@ -94,17 +90,6 @@ class NicTx:
 
 
 @dataclass(frozen=True)
-class RingOccupancy:
-    """Rx-ring depth after a DMA completion (or a drop when full)."""
-
-    t_ns: int
-    nic: str
-    depth: int
-    capacity: int
-    dropped: bool
-
-
-@dataclass(frozen=True)
 class GovernorDecision:
     """A P-state or C-state governor made a decision.
 
@@ -119,41 +104,6 @@ class GovernorDecision:
     choice: int
     value: float
     core_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class GovernorMiss:
-    """An idle period ended and the chosen C-state was graded against the
-    perfect-oracle choice for the realized residency.
-
-    ``verdict`` is ``"above"`` (chose deeper than the oracle: wake latency
-    was overpaid), ``"below"`` (chose shallower: idle watts were wasted)
-    or ``"hit"``.  ``cost_ns``/``cost_j`` quantify what the miss cost —
-    excess exit latency for ``above``, wasted-shallow joules for
-    ``below``; both are 0 on a ``hit``.  Emitted on ``cpuidle.verdict``
-    alongside the ``cpu.cstate`` stream by
-    :class:`repro.oskernel.cpuidle.IdleAccounting`.
-    """
-
-    t_ns: int
-    governor: str
-    core_id: int
-    chosen: str          # "C0" / "C1" / "C3" / "C6"
-    oracle: str
-    verdict: str         # "above" | "below" | "hit"
-    realized_ns: int     # how long the idle period actually lasted
-    cost_ns: int = 0
-    cost_j: float = 0.0
-
-
-@dataclass(frozen=True)
-class PacketClassified:
-    """ReqMonitor inspected a packet (NCAP's context-aware filter)."""
-
-    t_ns: int
-    monitor: str
-    latency_critical: bool
-    req_cnt: int
 
 
 @dataclass(frozen=True)
@@ -224,36 +174,14 @@ class RequestAccounting:
         return f"{self.src}/{self.req_id}"
 
 
-@dataclass(frozen=True)
-class WatchpointFired:
-    """A flight-recorder watchpoint tripped.
-
-    Emitted on ``telemetry.watchpoint`` by
-    :class:`~repro.telemetry.recorder.TimeSeriesRecorder` when a
-    :class:`~repro.telemetry.triggers.Watchpoint` predicate goes
-    False→True; the recorder simultaneously opens a high-resolution
-    capture window around ``t_ns``.
-    """
-
-    t_ns: int
-    name: str            # watchpoint name, e.g. "queue-overload"
-    series: str          # the watched series, e.g. "runq.depth"
-    value: float         # the sample that tripped the predicate
-    detail: str = ""     # human-readable predicate description
-
-
 ProbeEvent = Union[
     CStateTransition,
     PStateChange,
     IrqDelivered,
     NicRx,
     NicTx,
-    RingOccupancy,
     GovernorDecision,
-    GovernorMiss,
-    PacketClassified,
     NcapWake,
     RequestPhase,
     RequestAccounting,
-    WatchpointFired,
 ]

@@ -3,10 +3,9 @@
 A :class:`TimeSeriesRecorder` samples a declared set of sources on a
 simulated-time cadence into bounded ring buffers:
 
-* registry stats by exact name (:meth:`~TimeSeriesRecorder.add_stat`) or
-  whole subtrees (:meth:`~TimeSeriesRecorder.add_pattern`, e.g.
-  ``"nic.rx.*"``) — counters are sampled *cumulatively* so consumers can
-  derive exact per-bin rates by differencing;
+* registry stats by exact name (:meth:`~TimeSeriesRecorder.add_stat`) —
+  counters are sampled *cumulatively* so consumers can derive exact
+  per-bin rates by differencing;
 * derived quantities via plain callables
   (:meth:`~TimeSeriesRecorder.add_source`) — per-core frequency, C-state
   index, utilization, power — anything a closure can compute at sample
@@ -18,24 +17,17 @@ the simulation layers are not instrumented by the recorder; it *reads*
 existing state on its own schedule.
 
 **Bounded memory, deterministic decimation.**  Each series holds at most
-``capacity`` samples.  When a series fills, every other retained sample is
-dropped (even positions survive) and the series' sampling stride doubles,
-so it keeps covering the whole run at progressively coarser resolution.
+:data:`DEFAULT_CAPACITY` samples.  When a series fills, every other
+retained sample is dropped (even positions survive) and the series'
+sampling stride doubles, so it keeps covering the whole run at
+progressively coarser resolution.
 The decimation depends only on the sample count — never on wall time or
 randomness — so the same run (same seed, same cadence) produces identical
 series everywhere, including across process-pool workers.
 
-**Watchpoints.**  Predicates over the sampled series (see
-:mod:`repro.telemetry.triggers`) are evaluated after every base-cadence
-tick.  A tripped watchpoint switches the recorder into a *high-resolution
-capture window*: for a bounded duration every source is additionally
-sampled at ``interval_ns / hires_factor`` into a dedicated window buffer,
-leaving the base series cadence (and therefore its decimation schedule)
-untouched.
-
 The end product of a run is a :class:`TimeseriesBundle` — a plain,
-JSON-serializable projection of every series and capture window that
-rides on :class:`~repro.cluster.simulation.ExperimentResult` and
+JSON-serializable projection of every series that rides on
+:class:`~repro.cluster.simulation.ExperimentResult` and
 :class:`~repro.harness.record.ResultRecord` (schema v4) and feeds the
 HTML dashboard (:mod:`repro.viz.dashboard`).
 """
@@ -49,7 +41,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     TYPE_CHECKING,
 )
@@ -59,7 +50,6 @@ from repro.sim.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
-    from repro.telemetry.triggers import Watchpoint
 
 SourceFn = Callable[[], float]
 
@@ -111,15 +101,6 @@ class SeriesBuffer:
     def __len__(self) -> int:
         return len(self.times)
 
-    def tail(self, n: int) -> List[float]:
-        """The last ``n`` retained values (for watchpoint predicates)."""
-        return self.values[-n:]
-
-    def last(self) -> Optional[Tuple[int, float]]:
-        if not self.times:
-            return None
-        return self.times[-1], self.values[-1]
-
 
 @dataclass
 class SeriesData:
@@ -147,29 +128,6 @@ class SeriesData:
 
 
 @dataclass
-class CaptureWindow:
-    """One high-resolution capture opened by a tripped watchpoint."""
-
-    watchpoint: str
-    fired_at_ns: int
-    start_ns: int
-    end_ns: int
-    interval_ns: int
-    series: Dict[str, SeriesData] = field(default_factory=dict)
-
-
-@dataclass
-class WatchpointRecord:
-    """One watchpoint firing, as it appears in the serialized bundle."""
-
-    name: str
-    series: str
-    t_ns: int
-    value: float
-    detail: str = ""
-
-
-@dataclass
 class TimeseriesBundle:
     """Everything one recorder captured, as plain JSON-able data.
 
@@ -182,8 +140,6 @@ class TimeseriesBundle:
     start_ns: int
     end_ns: int
     series: List[SeriesData] = field(default_factory=list)
-    windows: List[CaptureWindow] = field(default_factory=list)
-    fired: List[WatchpointRecord] = field(default_factory=list)
 
     def names(self) -> List[str]:
         return [s.name for s in self.series]
@@ -214,36 +170,6 @@ class TimeseriesBundle:
                 }
                 for s in self.series
             ],
-            "windows": [
-                {
-                    "watchpoint": w.watchpoint,
-                    "fired_at_ns": w.fired_at_ns,
-                    "start_ns": w.start_ns,
-                    "end_ns": w.end_ns,
-                    "interval_ns": w.interval_ns,
-                    "series": {
-                        name: {
-                            "name": s.name,
-                            "kind": s.kind,
-                            "stride": s.stride,
-                            "times": list(s.times),
-                            "values": list(s.values),
-                        }
-                        for name, s in sorted(w.series.items())
-                    },
-                }
-                for w in self.windows
-            ],
-            "fired": [
-                {
-                    "name": f.name,
-                    "series": f.series,
-                    "t_ns": f.t_ns,
-                    "value": f.value,
-                    "detail": f.detail,
-                }
-                for f in self.fired
-            ],
         }
 
     @classmethod
@@ -262,29 +188,6 @@ class TimeseriesBundle:
             start_ns=int(data["start_ns"]),
             end_ns=int(data["end_ns"]),
             series=[series(s) for s in data.get("series", ())],
-            windows=[
-                CaptureWindow(
-                    watchpoint=w["watchpoint"],
-                    fired_at_ns=int(w["fired_at_ns"]),
-                    start_ns=int(w["start_ns"]),
-                    end_ns=int(w["end_ns"]),
-                    interval_ns=int(w["interval_ns"]),
-                    series={
-                        name: series(s) for name, s in dict(w["series"]).items()
-                    },
-                )
-                for w in data.get("windows", ())
-            ],
-            fired=[
-                WatchpointRecord(
-                    name=f["name"],
-                    series=f["series"],
-                    t_ns=int(f["t_ns"]),
-                    value=float(f["value"]),
-                    detail=f.get("detail", ""),
-                )
-                for f in data.get("fired", ())
-            ],
         )
 
 
@@ -298,10 +201,6 @@ class RecorderConfig:
     """
 
     interval_ns: int = 1 * MS
-    capacity: int = DEFAULT_CAPACITY
-    #: Extra registry subtrees to sample on top of the standard sources
-    #: (e.g. ``("governor.*",)``).
-    patterns: Tuple[str, ...] = ()
 
     @classmethod
     def coarse(cls) -> "RecorderConfig":
@@ -364,27 +263,19 @@ class TimeSeriesRecorder:
         sim: Simulator,
         telemetry: Optional["Telemetry"] = None,
         interval_ns: int = 1 * MS,
-        capacity: int = DEFAULT_CAPACITY,
     ):
         if interval_ns <= 0:
             raise ValueError("interval_ns must be positive")
         self._sim = sim
         self._telemetry = telemetry
         self.interval_ns = int(interval_ns)
-        self.capacity = int(capacity)
         self._sources: List[_Source] = []
-        self._patterns: List[Tuple[str, Optional[str]]] = []
         self._buffers: Dict[str, SeriesBuffer] = {}
-        self._watchpoints: List["Watchpoint"] = []
-        self._fired: List[WatchpointRecord] = []
-        self._windows: List[CaptureWindow] = []
-        self._open_windows: List[_OpenWindow] = []
         self._running = False
         self._generation = 0
         self._pending: Optional[Event] = None
         self._start_ns: int = 0
         self._last_sample_ns: int = 0
-        self._probe = telemetry.probe("telemetry.watchpoint") if telemetry else None
 
     # -- declaration -----------------------------------------------------
 
@@ -416,19 +307,6 @@ class TimeSeriesRecorder:
             raise KeyError(f"stat {name!r} is not declared in the registry")
         self.add_source(name, *_stat_source(stat))
 
-    def add_pattern(self, pattern: str) -> None:
-        """Sample every registry stat under a subtree (``"nic.rx.*"``).
-
-        Resolution happens at :meth:`start` (and again at every restart),
-        so stats declared after the recorder was built are still found.
-        """
-        self._require_registry()
-        stem = pattern[:-2] if pattern.endswith(".*") else pattern
-        self._patterns.append((pattern, stem))
-
-    def add_watchpoint(self, watchpoint: "Watchpoint") -> None:
-        self._watchpoints.append(watchpoint)
-
     def _require_registry(self):
         if self._telemetry is None:
             raise ValueError(
@@ -437,30 +315,12 @@ class TimeSeriesRecorder:
             )
         return self._telemetry.stats
 
-    def _resolve_patterns(self) -> None:
-        declared = {s.name for s in self._sources}
-        registry = self._telemetry.stats if self._telemetry else None
-        if registry is None:
-            return
-        for _pattern, stem in self._patterns:
-            for name in registry.names():
-                if name in declared:
-                    continue
-                if name == stem or name.startswith(stem + "."):
-                    self.add_source(name, *_stat_source(registry.get(name)))
-                    declared.add(name)
-
     # -- lifecycle -------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     def start(self) -> None:
         """Begin sampling.  Idempotent: a second call is a no-op."""
         if self._running:
             return
-        self._resolve_patterns()
         self._running = True
         self._generation += 1
         self._start_ns = self._sim.now
@@ -468,7 +328,7 @@ class TimeSeriesRecorder:
         for source in self._sources:
             if source.name not in self._buffers:
                 self._buffers[source.name] = SeriesBuffer(
-                    source.name, source.kind, self.capacity
+                    source.name, source.kind, DEFAULT_CAPACITY
                 )
         self._pending = self._sim.schedule(
             self.interval_ns, self._tick, self._generation
@@ -493,65 +353,12 @@ class TimeSeriesRecorder:
         self._last_sample_ns = now
         for source in self._sources:
             self._buffers[source.name].append(now, float(source.fn()))
-        for watchpoint in self._watchpoints:
-            watchpoint.evaluate(self, now)
         self._pending = self._sim.schedule(self.interval_ns, self._tick, generation)
-
-    # -- high-resolution capture windows ---------------------------------
-
-    def open_capture(
-        self, watchpoint: "Watchpoint", t_ns: int, value: float, detail: str
-    ) -> None:
-        """Record a firing and open its high-resolution window."""
-        record = WatchpointRecord(
-            name=watchpoint.name,
-            series=watchpoint.series,
-            t_ns=t_ns,
-            value=value,
-            detail=detail,
-        )
-        self._fired.append(record)
-        if self._probe is not None and self._probe.enabled:
-            from repro.telemetry.events import WatchpointFired
-
-            self._probe.emit(
-                WatchpointFired(
-                    t_ns=t_ns,
-                    name=watchpoint.name,
-                    series=watchpoint.series,
-                    value=value,
-                    detail=detail,
-                )
-            )
-        hires_ns = max(1, self.interval_ns // watchpoint.hires_factor)
-        window = CaptureWindow(
-            watchpoint=watchpoint.name,
-            fired_at_ns=t_ns,
-            start_ns=t_ns,
-            end_ns=t_ns + watchpoint.capture_ns,
-            interval_ns=hires_ns,
-        )
-        self._windows.append(window)
-        open_window = _OpenWindow(window, self)
-        self._open_windows.append(open_window)
-        open_window.schedule_next()
-
-    def _window_closed(self, open_window: "_OpenWindow") -> None:
-        self._open_windows.remove(open_window)
-        for watchpoint in self._watchpoints:
-            if watchpoint.name == open_window.window.watchpoint:
-                watchpoint.on_window_closed()
 
     # -- introspection / export ------------------------------------------
 
     def buffer(self, name: str) -> Optional[SeriesBuffer]:
         return self._buffers.get(name)
-
-    def series_names(self) -> List[str]:
-        return sorted(self._buffers)
-
-    def fired(self) -> List[WatchpointRecord]:
-        return list(self._fired)
 
     def bundle(self) -> TimeseriesBundle:
         """Snapshot everything captured so far as serializable data."""
@@ -569,53 +376,7 @@ class TimeSeriesRecorder:
                 )
                 for _, buf in sorted(self._buffers.items())
             ],
-            windows=list(self._windows),
-            fired=list(self._fired),
         )
-
-
-class _OpenWindow:
-    """Drives one active high-resolution capture to completion.
-
-    Runs its own sampling chain at the window's cadence so the base
-    series (and its deterministic decimation schedule) are untouched.
-    """
-
-    __slots__ = ("window", "_recorder", "_sources")
-
-    #: Hard cap on samples per window per series, independent of duration.
-    MAX_SAMPLES = 4096
-
-    def __init__(self, window: CaptureWindow, recorder: TimeSeriesRecorder):
-        self.window = window
-        self._recorder = recorder
-        self._sources = list(recorder._sources)
-        for source in self._sources:
-            window.series[source.name] = SeriesData(
-                name=source.name, kind=source.kind, stride=1
-            )
-
-    def schedule_next(self) -> None:
-        self._recorder._sim.schedule(self.window.interval_ns, self._tick)
-
-    def _tick(self) -> None:
-        recorder = self._recorder
-        now = recorder._sim.now
-        if not recorder._running or now > self.window.end_ns:
-            self.window.end_ns = min(self.window.end_ns, now)
-            recorder._window_closed(self)
-            return
-        full = False
-        for source in self._sources:
-            data = self.window.series[source.name]
-            data.times.append(now)
-            data.values.append(float(source.fn()))
-            full = full or len(data.times) >= self.MAX_SAMPLES
-        if full:
-            self.window.end_ns = now
-            recorder._window_closed(self)
-            return
-        self.schedule_next()
 
 
 def _stat_source(stat) -> Tuple[SourceFn, str]:
@@ -635,10 +396,9 @@ def merge_timeseries_bundles(
     """Merge per-node bundles into one fleet bundle, deterministically.
 
     ``named`` maps a node key (e.g. ``"server0"``) to that node's bundle;
-    every series, capture window and watchpoint firing comes back prefixed
-    with its key (``server0.cpu.util``).  The merge is a pure function of
-    the *contents*: keys are processed in sorted order and the merged
-    lists are re-sorted on stable fields, so any iteration order of
+    every series comes back prefixed with its key (``server0.cpu.util``).
+    The merge is a pure function of the *contents*: keys are processed in
+    sorted order and the merged series are re-sorted by name, so any iteration order of
     ``named`` — and any shard-to-worker placement that produced the
     bundles — yields a byte-identical serialized bundle (the recorder's
     serial==pool contract, extended across processes).
@@ -661,40 +421,12 @@ def merge_timeseries_bundles(
         )
 
     series: List[SeriesData] = []
-    windows: List[CaptureWindow] = []
-    fired: List[WatchpointRecord] = []
     for key in sorted(named):
-        bundle = named[key]
-        series.extend(_clone(key, s) for s in bundle.series)
-        for w in bundle.windows:
-            windows.append(
-                CaptureWindow(
-                    watchpoint=f"{key}.{w.watchpoint}",
-                    fired_at_ns=w.fired_at_ns,
-                    start_ns=w.start_ns,
-                    end_ns=w.end_ns,
-                    interval_ns=w.interval_ns,
-                    series={
-                        f"{key}.{name}": _clone(key, sd)
-                        for name, sd in w.series.items()
-                    },
-                )
-            )
-        fired.extend(
-            WatchpointRecord(
-                name=f"{key}.{f.name}", series=f"{key}.{f.series}",
-                t_ns=f.t_ns, value=f.value, detail=f.detail,
-            )
-            for f in bundle.fired
-        )
+        series.extend(_clone(key, s) for s in named[key].series)
     series.sort(key=lambda s: s.name)
-    windows.sort(key=lambda w: (w.fired_at_ns, w.watchpoint))
-    fired.sort(key=lambda f: (f.t_ns, f.name, f.series))
     return TimeseriesBundle(
         interval_ns=next(iter(intervals)),
         start_ns=min(b.start_ns for b in named.values()),
         end_ns=max(b.end_ns for b in named.values()),
         series=series,
-        windows=windows,
-        fired=fired,
     )

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, List, TYPE_CHECKING, Tuple
 
 from repro.telemetry.events import (
     CStateTransition,
     GovernorDecision,
-    IrqDelivered,
     NcapWake,
-    PacketClassified,
     PStateChange,
     RequestPhase,
-    WatchpointFired,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,25 +38,14 @@ class ChromeTraceSink:
 
     The output loads in ``chrome://tracing`` and https://ui.perfetto.dev.
     Timestamps are microseconds (the format's unit); every event carries
-    the required ``ph``/``ts``/``pid``/``tid``/``name`` keys.
+    the required ``ph``/``ts``/``pid``/``tid``/``name`` keys.  Every event
+    sits in one process lane, pid :attr:`PID`, named :attr:`PROCESS_NAME`.
     """
 
     PID = 1
+    PROCESS_NAME = "repro-sim"
 
-    def __init__(
-        self,
-        include_irq: bool = False,
-        include_classify: bool = False,
-        pid: Optional[int] = None,
-        process_name: str = "repro-sim",
-    ):
-        #: Lane identity: per-shard sinks pass e.g. ``pid=10+shard,
-        #: process_name="shard 3"`` so Perfetto names the process track
-        #: instead of showing a bare pid.
-        self.pid = self.PID if pid is None else pid
-        self.process_name = process_name
-        self.include_irq = include_irq
-        self.include_classify = include_classify
+    def __init__(self) -> None:
         self._events: List[Dict[str, Any]] = []
         #: (domain, core_id) -> (enter_ns, state_name) for open C-state spans
         self._open_cstates: Dict[Tuple[str, int], Tuple[int, str]] = {}
@@ -74,16 +60,11 @@ class ChromeTraceSink:
         bus.subscribe("governor.decision", self._on_decision)
         bus.subscribe("ncap.wake", self._on_wake)
         bus.subscribe("request.span", self._on_request)
-        bus.subscribe("telemetry.watchpoint", self._on_watchpoint)
-        if self.include_irq:
-            bus.subscribe("irq.delivered", self._on_irq)
-        if self.include_classify:
-            bus.subscribe("ncap.classify", self._on_classify)
 
     # -- event assembly --------------------------------------------------
 
     def _add(self, event: Dict[str, Any], t_ns: int, tid: int, label: str = "") -> None:
-        event["pid"] = self.pid
+        event["pid"] = self.PID
         event["tid"] = tid
         event["ts"] = t_ns / 1e3
         self._events.append(event)
@@ -166,50 +147,6 @@ class ChromeTraceSink:
             0,
         )
 
-    def _on_watchpoint(self, event: WatchpointFired) -> None:
-        self._add(
-            {
-                "name": f"watchpoint.{event.name}",
-                "cat": "recorder",
-                "ph": "i",
-                "s": "g",
-                "args": {
-                    "series": event.series,
-                    "value": event.value,
-                    "detail": event.detail,
-                },
-            },
-            event.t_ns,
-            0,
-        )
-
-    def _on_irq(self, event: IrqDelivered) -> None:
-        self._add(
-            {
-                "name": event.name,
-                "cat": f"irq.{event.kind}",
-                "ph": "i",
-                "s": "t",
-                "args": {},
-            },
-            event.t_ns,
-            event.core_id,
-            label=f"core{event.core_id}",
-        )
-
-    def _on_classify(self, event: PacketClassified) -> None:
-        self._add(
-            {
-                "name": "classified.lc" if event.latency_critical else "ignored",
-                "cat": "ncap",
-                "ph": "i",
-                "s": "t",
-                "args": {"req_cnt": event.req_cnt},
-            },
-            event.t_ns,
-            0,
-        )
-
     def _on_request(self, event: RequestPhase) -> None:
         span_id = event.span_id
         base = {"cat": "request", "id": span_id, "args": {"src": event.src}}
@@ -250,7 +187,7 @@ class ChromeTraceSink:
                     "ph": "X",
                     "ts": start_ns / 1e3,
                     "dur": max(0.0, (self._last_ns - start_ns) / 1e3),
-                    "pid": self.pid,
+                    "pid": self.PID,
                     "tid": core_id,
                     "args": {"domain": domain},
                 }
@@ -262,7 +199,7 @@ class ChromeTraceSink:
                     "cat": "request",
                     "ph": "e",
                     "ts": self._last_ns / 1e3,
-                    "pid": self.pid,
+                    "pid": self.PID,
                     "tid": 0,
                     "id": span_id,
                     "args": {},
@@ -271,7 +208,7 @@ class ChromeTraceSink:
         from repro.telemetry.tracing import lane_metadata_events
 
         out.extend(
-            lane_metadata_events(self.pid, self.process_name, self._tids_seen)
+            lane_metadata_events(self.PID, self.PROCESS_NAME, self._tids_seen)
         )
         return out
 

@@ -14,11 +14,9 @@ simulated time:
 * network bandwidth (Mb/s, differenced from the cumulative byte
   counters),
 
-plus run-phase shading (warmup / measure / drain), watchpoint-firing
-markers with their high-resolution capture windows washed across every
-panel, a hover crosshair with a value tooltip, a light/dark theme that
-follows the OS preference, and a per-panel data table (the accessible
-fallback view).
+plus run-phase shading (warmup / measure / drain), a hover crosshair
+with a value tooltip, a light/dark theme that follows the OS preference,
+and a per-panel data table (the accessible fallback view).
 
 The categorical palette (4 slots per panel, assigned in fixed order) and
 the light/dark surface tokens were validated for CVD separation and
@@ -45,9 +43,6 @@ PALETTE: Tuple[Tuple[str, str], ...] = (
     ("#1baf7a", "#199e70"),  # aqua
     ("#eda100", "#c98500"),  # yellow
 )
-
-#: Watchpoint / alert accents (status red; reserved, never a series slot).
-ALERT = ("#e34948", "#f2555f")
 
 # SVG geometry (CSS pixels; the page scales the viewBox responsively).
 WIDTH = 960
@@ -93,8 +88,8 @@ def _rate_points_mbps(series: SeriesData) -> List[Tuple[int, float]]:
 def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
     """The canonical panel layout for a server flight-recorder bundle.
 
-    Unrecognized series (extra ``RecorderConfig.patterns`` subtrees) each
-    get their own trailing panel — counters as per-second rates.
+    Unrecognized series each get their own trailing panel — counters as
+    per-second rates.
     """
     panels: List[Panel] = []
     used: set = set()
@@ -109,13 +104,6 @@ def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
     if freq is not None:
         panel = Panel("Frequency", "GHz", zero_base=False)
         panel.series.append(PanelSeries("package", _series_points(freq), step=True))
-        for name in bundle.names():
-            if name.startswith("cpu.domain") and name.endswith(".freq_ghz"):
-                domain = take(name)
-                label = name[len("cpu."):-len(".freq_ghz")]
-                panel.series.append(
-                    PanelSeries(label, _series_points(domain), step=True)
-                )
         panels.append(panel)
 
     cstates = [n for n in bundle.names() if n.startswith("core") and n.endswith(".cstate")]
@@ -299,8 +287,6 @@ def _render_panel_svg(
     index: int,
     sx: _Scale,
     phases: Sequence[Tuple[str, int, int]],
-    windows: Sequence[Tuple[int, int]],
-    fired_ns: Sequence[int],
     with_x_axis: bool,
 ) -> str:
     height = AXIS_PANEL_H if with_x_axis else PANEL_H
@@ -319,13 +305,6 @@ def _render_panel_svg(
         out.append(
             f'<rect class="phase-wash" x="{x0:.1f}" y="{PLOT_Y0}" '
             f'width="{max(0.0, x1 - x0):.1f}" height="{PLOT_Y1 - PLOT_Y0}"/>'
-        )
-    # Watchpoint capture-window washes.
-    for start, end in windows:
-        x0, x1 = sx(start), sx(end)
-        out.append(
-            f'<rect class="window-wash" x="{x0:.1f}" y="{PLOT_Y0}" '
-            f'width="{max(1.0, x1 - x0):.1f}" height="{PLOT_Y1 - PLOT_Y0}"/>'
         )
     # Horizontal gridlines + y tick labels.
     step = _nice_step(hi - lo, target=3)
@@ -377,13 +356,6 @@ def _render_panel_svg(
                 f'<path class="line s{slot}" '
                 f'd="{_path(series.points, sx, sy, series.step)}"/>'
             )
-    # Watchpoint firing markers.
-    for t_ns in fired_ns:
-        x = sx(t_ns)
-        out.append(
-            f'<line class="fired" x1="{x:.1f}" y1="{PLOT_Y0}" '
-            f'x2="{x:.1f}" y2="{PLOT_Y1}"/>'
-        )
     out.append(
         f'<line class="xhair" x1="0" y1="{PLOT_Y0}" x2="0" y2="{PLOT_Y1}" '
         f'visibility="hidden"/>'
@@ -481,12 +453,9 @@ h1 { font-size: 18px; margin: 8px 0 2px; }
 .line.s2 { stroke: var(--s2); } .line.s3 { stroke: var(--s3); }
 .area.s0 { fill: var(--s0); opacity: 0.1; stroke: none; }
 .phase-wash { fill: var(--wash); opacity: 0.08; }
-.window-wash { fill: var(--alert); opacity: 0.08; }
-.fired { stroke: var(--alert); stroke-width: 1.5; stroke-dasharray: 4 3; }
 .xhair { stroke: var(--ink-muted); stroke-width: 1; }
-.watchpoints { border: 1px solid var(--panel-border); border-radius: 8px;
+.note { border: 1px solid var(--panel-border); border-radius: 8px;
   padding: 8px 12px; margin: 12px 0; font-size: 13px; }
-.watchpoints .alert { color: var(--alert); font-weight: 600; }
 #tooltip { position: fixed; pointer-events: none; display: none;
   background: var(--surface); color: var(--ink);
   border: 1px solid var(--panel-border); border-radius: 6px;
@@ -600,8 +569,6 @@ def render_dashboard(
     if t1 <= t0:
         t1 = t0 + 1
     sx = _Scale(t0, t1, PLOT_X0, PLOT_X1)
-    windows = [(w.start_ns, w.end_ns) for w in bundle.windows]
-    fired_ns = [f.t_ns for f in bundle.fired]
 
     body: List[str] = []
     for index, panel in enumerate(panels):
@@ -611,8 +578,7 @@ def render_dashboard(
             f"<figcaption><b>{html.escape(panel.title)}</b>{unit}"
             f"{_render_legend(panel)}</figcaption>"
             + _render_panel_svg(
-                panel, index, sx, phases, windows, fired_ns,
-                with_x_axis=(index == len(panels) - 1),
+                panel, index, sx, phases, with_x_axis=(index == len(panels) - 1)
             )
             + "</figure>"
             + _render_table(panel)
@@ -625,20 +591,6 @@ def render_dashboard(
             for name, start, end in phases
         )
         phase_strip = f'<div class="phase-strip">{parts}</div>'
-
-    watchpoint_block = ""
-    if bundle.fired:
-        items = "".join(
-            f"<li><span class='alert'>{html.escape(f.name)}</span> on "
-            f"{html.escape(f.series)} at {_fmt(f.t_ns / 1e6)} ms "
-            f"(value {_fmt(f.value)}; {html.escape(f.detail)})</li>"
-            for f in bundle.fired
-        )
-        watchpoint_block = (
-            f"<div class='watchpoints'><b>{len(bundle.fired)} watchpoint "
-            f"firing{'s' if len(bundle.fired) != 1 else ''}</b> — shaded "
-            f"regions are high-resolution capture windows<ul>{items}</ul></div>"
-        )
 
     payload = {
         "width": WIDTH,
@@ -677,7 +629,6 @@ def render_dashboard(
 <button id="theme-toggle" type="button">light/dark</button>
 </header>
 {phase_strip}
-{watchpoint_block}
 {''.join(body)}
 {extra_html}
 <div id="tooltip"></div>
@@ -748,7 +699,7 @@ def _energy_block(attribution) -> str:
         if attribution.n_nodes > 1 else ""
     )
     return (
-        "<div class='watchpoints'><b>Energy decomposition</b> — "
+        "<div class='note'><b>Energy decomposition</b> — "
         f"{total:.4f} J{nodes}, conservation error "
         f"{attribution.conservation_error_j:+.2e} J"
         f'<div style="display:flex;margin:8px 0 6px;border-radius:4px;'
@@ -851,7 +802,7 @@ def _fleet_trace_block(trace, shard_of_server, trace_path: Optional[str]) -> str
             f"<td>{rtt}</td></tr>"
         )
     return (
-        "<div class='watchpoints'><b>"
+        "<div class='note'><b>"
         f"{len(traces)} traced request"
         f"{'s' if len(traces) != 1 else ''}</b> "
         f"(1 in {trace.sample_every} deterministic sample){link}"

@@ -488,18 +488,6 @@ class TestLaneMetadata:
         }
         assert [e["args"]["name"] for e in events[1:]] == ["a", "b"]
 
-    def test_chrome_trace_sink_lane_override(self):
-        from repro.telemetry.sinks import ChromeTraceSink
-
-        sink = ChromeTraceSink(pid=SHARD_PID_BASE + 3, process_name="shard 3")
-        events = sink.trace_events()
-        meta = [e for e in events if e["name"] == "process_name"]
-        assert meta == [{
-            "name": "process_name", "ph": "M", "ts": 0.0,
-            "pid": SHARD_PID_BASE + 3, "tid": 0,
-            "args": {"name": "shard 3"},
-        }]
-
 
 class TestReportsAndDashboard:
     def test_fleet_report_gains_loop_health_columns(self):

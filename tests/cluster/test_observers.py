@@ -28,7 +28,6 @@ from repro.harness.record import ResultRecord
 from repro.profiling import SimProfiler
 from repro.sim.units import MS
 from repro.telemetry.monitor import RunMonitor
-from repro.telemetry.triggers import Watchpoint, rate_above
 
 #: Record sections only observers fill.
 OBSERVER_SECTIONS = ("attribution", "timeseries", "profile", "fleet", "energy_attribution")
@@ -53,10 +52,6 @@ FLEET = DatacenterConfig(
 )
 
 
-def _watchpoint() -> Watchpoint:
-    return Watchpoint("any-rx", "nic.rx.bytes", rate_above(1.0), capture_ns=2 * MS)
-
-
 def _monitor() -> RunMonitor:
     return RunMonitor("-", interval_s=3600.0)
 
@@ -75,11 +70,6 @@ CASES = {
     "record_timeseries": (
         "fleet", lambda: dict(record_timeseries="coarse"),
         lambda run, result: bool(result.record.timeseries),
-    ),
-    "watchpoints": (
-        "single",
-        lambda: dict(record_timeseries="coarse", watchpoints=[_watchpoint()]),
-        lambda run, result: bool(result.timeseries.fired),
     ),
     "profile": (
         "fleet", lambda: dict(profile=True),
@@ -109,7 +99,6 @@ def all_single() -> dict:
         sinks=[AttributionSink()],
         audit=True,
         record_timeseries="coarse",
-        watchpoints=[_watchpoint()],
         profile=True,
         energy_attribution=True,
     )
@@ -181,7 +170,7 @@ class TestPurity:
 
     def test_all_single_run_observers_together(self, plain):
         _, result, record = run_single(**all_single())
-        assert result.attribution and result.timeseries.fired
+        assert result.attribution and result.timeseries
         assert result.profile and result.energy_attribution
         assert_pure(plain["single"], record)
 

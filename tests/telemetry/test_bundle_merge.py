@@ -1,18 +1,16 @@
 """Tests for merging flight-recorder bundles across shards.
 
-The merge contract: node-name prefixes on every series / window /
-watchpoint, deterministic sorted output, and complete independence from
-the order the per-server bundles are supplied in — the property the
-sharded coordinator's bit-identical ResultRecord rests on.
+The merge contract: node-name prefixes on every series, deterministic
+sorted output, and complete independence from the order the per-server
+bundles are supplied in — the property the sharded coordinator's
+bit-identical ResultRecord rests on.
 """
 
 import pytest
 
 from repro.telemetry.recorder import (
-    CaptureWindow,
     SeriesData,
     TimeseriesBundle,
-    WatchpointRecord,
     merge_timeseries_bundles,
 )
 
@@ -28,15 +26,6 @@ def make_bundle(offset=0.0, start=0, end=1000):
             SeriesData("nic.rx.bytes", "counter", 1,
                        [0, 100, 200], [0.0, 500.0, 900.0]),
         ],
-        windows=[
-            CaptureWindow(
-                "hot", 150, 100, 200, 10,
-                series={"power.watts": SeriesData(
-                    "power.watts", "gauge", 1, [100, 110], [11.0, 11.5]
-                )},
-            )
-        ],
-        fired=[WatchpointRecord("hot", "power.watts", 150, 11.2, "rose")],
     )
 
 
@@ -65,18 +54,10 @@ class TestMergeBundles:
         assert merged.start_ns == 0
         assert merged.end_ns == 900
 
-    def test_windows_and_watchpoints_prefixed(self):
-        merged = merge_timeseries_bundles({"server3": make_bundle()})
-        assert merged.windows[0].watchpoint == "server3.hot"
-        assert list(merged.windows[0].series) == ["server3.power.watts"]
-        assert merged.fired[0].name == "server3.hot"
-        assert merged.fired[0].series == "server3.power.watts"
-
     def test_source_bundles_not_mutated(self):
         bundle = make_bundle()
         merge_timeseries_bundles({"server0": bundle})
         assert bundle.series[0].name == "power.watts"
-        assert bundle.fired[0].name == "hot"
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

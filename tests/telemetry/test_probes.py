@@ -1,5 +1,9 @@
 """Tests for probe points and the probe bus."""
 
+import re
+from pathlib import Path
+
+import repro
 from repro.telemetry import (
     CStateTransition,
     PStateChange,
@@ -7,6 +11,7 @@ from repro.telemetry import (
     ProbePoint,
     Telemetry,
 )
+from tests.probe_log import DEFAULT_POINTS
 
 
 class TestProbePoint:
@@ -135,3 +140,31 @@ class TestTelemetryFacade:
         assert telemetry.probes.point("nic.rx") is probe
         counter = telemetry.counter("nic.rx.frames")
         assert telemetry.stats.value("nic.rx.frames") == counter.value
+
+
+SRC = Path(repro.__file__).parent
+PROBE_LITERAL = re.compile(r"""\.probe\(\s*["']([^"']+)["']""")
+SUBSCRIBE_LITERAL = re.compile(r"""subscribe\(\s*["']([^"']+)["']""")
+
+
+def _literal_names(pattern) -> dict:
+    """Name -> first module under ``src/repro`` where ``pattern`` names it."""
+    found: dict = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for name in pattern.findall(path.read_text(encoding="utf-8")):
+            found.setdefault(name, path.relative_to(SRC).as_posix())
+    return found
+
+
+class TestEveryProbeHasASubscriber:
+    def test_every_probe_point_is_subscribed(self):
+        # A probe point nothing subscribes to is an observer without a
+        # consumer.  Consumers are the package's own sinks and the test
+        # suite's probe log, which reads nic.rx/nic.tx as an oracle.
+        probes = _literal_names(PROBE_LITERAL)
+        assert "request.span" in probes  # the scan sees the model
+        subscribed = set(_literal_names(SUBSCRIBE_LITERAL)) | set(DEFAULT_POINTS)
+        unsubscribed = {
+            name: where for name, where in probes.items() if name not in subscribed
+        }
+        assert not unsubscribed, f"probe points without a subscriber: {unsubscribed}"

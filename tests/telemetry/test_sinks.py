@@ -19,9 +19,9 @@ def test_node_of_domain():
 
 
 class TestChromeTraceSink:
-    def make(self, **kwargs):
+    def make(self):
         telemetry = Telemetry()
-        sink = ChromeTraceSink(**kwargs)
+        sink = ChromeTraceSink()
         telemetry.add_sink(sink)
         return telemetry, sink
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.sim.units import MS
-from repro.telemetry import Watchpoint, threshold_above
 from repro.telemetry.recorder import SeriesData, TimeseriesBundle
 from repro.viz import (
     dashboard_from_result,
@@ -31,7 +30,6 @@ class _StructureParser(HTMLParser):
         self.series_paths = 0
         self.tables = 0
         self.legends = 0
-        self.fired_markers = 0
         self.errors = []
 
     def handle_starttag(self, tag, attrs):
@@ -45,8 +43,6 @@ class _StructureParser(HTMLParser):
             self.tables += 1
         if tag == "span" and cls == "legend":
             self.legends += 1
-        if tag == "line" and cls == "fired":
-            self.fired_markers += 1
         if tag not in VOID_TAGS:
             self.stack.append(tag)
 
@@ -145,13 +141,8 @@ class TestFromExperiment:
             warmup_ns=5 * MS, measure_ns=30 * MS, drain_ns=15 * MS,
             seed=4,
         )
-        watchpoint = Watchpoint(
-            "busy", "cpu.util", threshold_above(0.5), capture_ns=2 * MS
-        )
         log = ProbeLog(points=("cpu.pstate",))
-        result = run_experiment(
-            config, record_timeseries="coarse", watchpoints=[watchpoint], sinks=[log]
-        )
+        result = run_experiment(config, record_timeseries="coarse", sinks=[log])
         return config, result, log
 
     def test_page_structure(self, run):
@@ -178,15 +169,6 @@ class TestFromExperiment:
         for t_ms, value in zip(series["times"], series["values"]):
             expected = log.freq_ghz_at(int(t_ms * 1e6))
             assert value == pytest.approx(expected, abs=5e-7)
-
-    def test_watchpoint_markers_rendered(self, run):
-        config, result, log = run
-        if not result.timeseries.fired:
-            pytest.skip("watchpoint did not trip in this run")
-        page = dashboard_from_result(result, config=config)
-        parser = _parse(page)
-        assert parser.fired_markers >= parser.svg_panels  # marker per panel
-        assert "watchpoint firing" in page
 
     def test_requires_timeseries(self):
         class Hollow:
