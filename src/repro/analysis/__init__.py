@@ -16,38 +16,23 @@
 - :mod:`repro.analysis.report` — table rendering for the above.
 """
 
-from repro.analysis.attribution import (  # noqa: F401
-    COMPONENTS,
-    PM_COMPONENTS,
-    AttributionReport,
-    AttributionSink,
-    RequestAttribution,
-    TailAttribution,
-)
-from repro.analysis.audit import AuditError, InvariantAuditor  # noqa: F401
-from repro.analysis.compare import (  # noqa: F401
-    AXES,
-    MetricDelta,
-    PairedDiff,
-    RunSet,
-    compare,
-    diff_records,
-    format_compare_report,
-    format_runset_summary,
-    joules_per_request,
-    percentile_ci,
-)
-from repro.analysis.energy import (  # noqa: F401
-    ENERGY_COMPONENTS,
-    EnergyAttribution,
-    attribution_between,
-    format_energy_blame,
-    format_energy_diff,
-    format_governor_misses,
-)
-from repro.analysis.report import (  # noqa: F401
-    format_attribution_report,
-    format_mean_table,
-    format_tail_table,
-)
-from repro.analysis.sketch import StreamingSketch  # noqa: F401
+from repro import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".attribution": (
+        "COMPONENTS", "PM_COMPONENTS", "AttributionReport", "AttributionSink",
+        "RequestAttribution", "TailAttribution",
+    ),
+    ".audit": ("AuditError", "InvariantAuditor"),
+    ".compare": (
+        "AXES", "MetricDelta", "PairedDiff", "RunSet", "compare", "diff_records",
+        "format_compare_report", "format_runset_summary", "joules_per_request",
+        "percentile_ci",
+    ),
+    ".energy": (
+        "ENERGY_COMPONENTS", "EnergyAttribution", "attribution_between",
+        "format_energy_blame", "format_energy_diff", "format_governor_misses",
+    ),
+    ".report": ("format_attribution_report", "format_mean_table", "format_tail_table"),
+    ".sketch": ("StreamingSketch",),
+})

@@ -34,6 +34,7 @@ and ``--cache-dir`` (on-disk result cache, default ``.repro-cache``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -186,11 +187,30 @@ def cmd_headline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_load(raw: str):
+def _positive(raw: str, kind: type = float):
+    """``raw`` as a finite ``kind`` above zero, for an argparse ``type=``;
+    anything else is a one-line usage error."""
     try:
-        return float(raw)
+        value = kind(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {raw!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+    return value
+
+
+def _positive_int(raw: str) -> int:
+    return _positive(raw, int)
+
+
+def _parse_load(raw: str):
+    """A ``--loads`` entry: a load-level name, or an explicit RPS that
+    must be positive."""
+    try:
+        float(raw)
     except ValueError:
         return raw
+    return _positive(raw)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -200,7 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = SweepSpec(
         apps=tuple(args.apps),
         policies=tuple(args.policies),
-        loads=tuple(_parse_load(load) for load in args.loads),
+        loads=tuple(args.loads),
         seeds=tuple(args.seeds) if args.seeds else None,
         settings=settings,
     )
@@ -744,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--app", choices=tuple(LOAD_LEVELS), default="apache")
     p_run.add_argument("--policy", choices=tuple(POLICIES), default="ncap.cons")
     p_run.add_argument("--load", choices=("low", "medium", "high"))
-    p_run.add_argument("--rps", type=float, help="explicit offered load")
+    p_run.add_argument("--rps", type=_positive, help="explicit offered load")
     p_run.set_defaults(fn=cmd_run)
 
     p_cmp = add_parser("compare", help="all seven policies at one load")
@@ -763,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=["apache"])
     p_sweep.add_argument("--policies", nargs="+", choices=tuple(POLICIES),
                          default=["perf", "ond.idle", "ncap.cons"])
-    p_sweep.add_argument("--loads", nargs="+", default=["low", "medium"],
+    p_sweep.add_argument("--loads", nargs="+", type=_parse_load,
+                         default=["low", "medium"],
                          help="load level names or explicit RPS numbers")
     p_sweep.add_argument("--seeds", nargs="+", type=int,
                          help="repeat the grid at each seed")
@@ -893,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the preset's policy")
     p_prof.add_argument("--load", choices=("low", "medium", "high"),
                         help="override the preset's load level")
-    p_prof.add_argument("--rps", type=float, help="explicit offered load")
+    p_prof.add_argument("--rps", type=_positive, help="explicit offered load")
     p_prof.add_argument("--top", type=int, default=15,
                         help="handlers to show (default 15)")
     p_prof.add_argument("--stacks-out",
@@ -919,12 +940,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the preset's power policy")
     p_dc.add_argument("--servers", type=int, help="override n_servers")
     p_dc.add_argument("--shards", type=int, help="override n_shards")
-    p_dc.add_argument("--rps", type=float, help="override total offered RPS")
+    p_dc.add_argument("--rps", type=_positive, help="override total offered RPS")
     p_dc.add_argument("--shares",
                       help="load-share profile: 'uniform' or 'zipf:<s>'")
     p_dc.add_argument("--spray", choices=SPRAY_POLICIES,
                       help="frontend spray policy (frontend presets only)")
-    p_dc.add_argument("--users", type=int,
+    p_dc.add_argument("--users", type=_positive_int,
                       help="frontend user population (frontend presets only)")
     p_dc.add_argument("--record", choices=("coarse", "fine"),
                       help="record flight-recorder series on the first "
@@ -971,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the preset's policy")
     p_tr.add_argument("--load", choices=("low", "medium", "high"),
                       help="override the preset's load level")
-    p_tr.add_argument("--rps", type=float, help="explicit offered load")
+    p_tr.add_argument("--rps", type=_positive, help="explicit offered load")
     p_tr.add_argument("--out", default="trace.json",
                       help="output path (default: trace.json)")
     p_tr.set_defaults(fn=cmd_trace)
@@ -990,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the preset's policy")
     p_dash.add_argument("--load", choices=("low", "medium", "high"),
                         help="override the preset's load level")
-    p_dash.add_argument("--rps", type=float, help="explicit offered load")
+    p_dash.add_argument("--rps", type=_positive, help="explicit offered load")
     p_dash.add_argument("--record", choices=("coarse", "fine"),
                         default="coarse", help="recorder cadence preset")
     p_dash.add_argument("--out", default="dashboard.html",

@@ -1,22 +1,9 @@
 """Cluster wiring: nodes, policies, and the experiment runner."""
 
-from repro.cluster.node import ServerNode
-from repro.cluster.policies import POLICIES, POLICY_ORDER, PolicyConfig, get_policy
-from repro.cluster.simulation import (
-    Cluster,
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ServerNode",
-    "POLICIES",
-    "POLICY_ORDER",
-    "PolicyConfig",
-    "get_policy",
-    "Cluster",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".node": ("ServerNode",),
+    ".policies": ("POLICIES", "POLICY_ORDER", "PolicyConfig", "get_policy"),
+    ".simulation": ("Cluster", "ExperimentConfig", "ExperimentResult", "run_experiment"),
+})

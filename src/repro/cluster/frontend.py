@@ -46,7 +46,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps.client import RequestLedger
 from repro.apps.workload import burst_arrival_times, burst_period_ns
-from repro.telemetry.tracing import is_sampled
 from repro.net.packet import Frame, make_http_request, make_memcached_request
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS
@@ -228,6 +227,11 @@ class FrontendPlanner:
         # collectors, so it consumes no RNG stream and the plan is
         # unchanged whether tracing is on or off.
         self._sample_every = sample_every
+        self._is_sampled = None
+        if sample_every is not None:
+            from repro.telemetry.tracing import is_sampled
+
+            self._is_sampled = is_sampled
         #: Stamped samples: (src, req_id, user, server, decision_ns, send_ns).
         self.trace_samples: List[Tuple[str, int, int, int, int, int]] = []
 
@@ -278,7 +282,7 @@ class FrontendPlanner:
                 if self._warmup_ns <= send_ns < self._warmup_ns + self._measure_ns:
                     self.dispatched_in_measure[server] += 1
                 frame = self._make_frame(server, user, send_ns)
-                if self._sample_every is not None and is_sampled(
+                if self._is_sampled is not None and self._is_sampled(
                     frame.src, frame.req_id, self._sample_every
                 ):
                     self.trace_samples.append(

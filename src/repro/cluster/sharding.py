@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.workload import sla_for
 from repro.cluster.datacenter import DatacenterConfig, DatacenterResult, ServerOutcome
@@ -64,9 +64,10 @@ from repro.harness.record import ResultRecord
 from repro.harness.runner import pool_result, resolve_jobs
 from repro.metrics.energy import average_power_w
 from repro.metrics.latency import LatencyStats
-from repro.profiling.fleet import FleetProfile, WindowSample
-from repro.telemetry.recorder import merge_timeseries_bundles
-from repro.telemetry.tracing import FleetTraceBundle, merge_fleet_traces
+
+if TYPE_CHECKING:  # pragma: no cover - observers are imported when asked for
+    from repro.profiling.fleet import FleetProfile
+    from repro.telemetry.tracing import FleetTraceBundle
 
 
 def shard_plan(n_servers: int, n_shards: int) -> List[List[int]]:
@@ -354,6 +355,8 @@ class ShardedDatacenterRun:
 
         fleet_profile: Optional[FleetProfile] = None
         if self.observers.profile_fleet:
+            from repro.profiling.fleet import FleetProfile, WindowSample
+
             fleet_profile = FleetProfile(
                 n_shards=config.n_shards,
                 n_slots=self._n_slots if self._use_pool else 1,
@@ -491,6 +494,8 @@ class ShardedDatacenterRun:
         trace_bundle: Optional[FleetTraceBundle] = None
         fleet_section: Dict[str, object] = {}
         if self.observers.trace_requests is not None and planner is not None:
+            from repro.telemetry.tracing import merge_fleet_traces
+
             trace_bundle = merge_fleet_traces(
                 self.observers.trace_requests,
                 planner.trace_samples,
@@ -552,6 +557,8 @@ def build_fleet_record(
     bundles = {m.name: m.timeseries for m in measures if m.timeseries is not None}
     timeseries: Dict[str, object] = {}
     if bundles:
+        from repro.telemetry.recorder import merge_timeseries_bundles
+
         timeseries = merge_timeseries_bundles(bundles).to_json_dict()
     # Per-server attributions reduce in server-index order (the same
     # float-summation-order discipline as ``energy`` above), so the

@@ -20,13 +20,11 @@ around their own server class.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.attribution import AttributionReport, AttributionSink
-from repro.analysis.audit import InvariantAuditor
-from repro.analysis.energy import EnergyAttribution, attribution_between
 from repro.apps.client import (
     OpenLoopClient,
     http_request_factory,
@@ -36,7 +34,6 @@ from repro.apps.workload import burst_period_ns, check_app, default_burst_size, 
 from repro.cluster.frontend import FrontendPort
 from repro.cluster.node import ServerNode
 from repro.cluster.policies import PolicyConfig
-from repro.cluster.recording import build_server_recorder
 from repro.core.config import NCAPConfig
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.energy import EnergyReport
@@ -44,23 +41,23 @@ from repro.metrics.energy import average_power_w, energy_delta
 from repro.metrics.latency import LatencyStats
 from repro.net.switch import Switch
 from repro.oskernel.cpuidle import IdleAccounting, build_idle_accounting
-from repro.profiling.profiler import LoopProfile, SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS
 from repro.telemetry import Telemetry
-from repro.telemetry.monitor import RunMonitor, resolve_monitor
-from repro.telemetry.recorder import (
-    RecorderConfig,
-    TimeSeriesRecorder,
-    TimeseriesBundle,
-    resolve_recorder_config,
-)
-from repro.telemetry.tracing import (
-    RequestTraceCollector,
-    TraceConfig,
-    resolve_trace_config,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - observers are imported when asked for
+    from repro.analysis.attribution import AttributionReport, AttributionSink
+    from repro.analysis.audit import InvariantAuditor
+    from repro.analysis.energy import EnergyAttribution
+    from repro.profiling.profiler import LoopProfile, SimProfiler
+    from repro.telemetry.monitor import RunMonitor
+    from repro.telemetry.recorder import (
+        RecorderConfig,
+        TimeSeriesRecorder,
+        TimeseriesBundle,
+    )
+    from repro.telemetry.tracing import RequestTraceCollector, TraceConfig
 
 
 def check_run_window(warmup_ns: int, measure_ns: int, drain_ns: int) -> None:
@@ -302,8 +299,11 @@ class Observers:
           ``energy_attribution`` with the energy decomposition and
           governor-miss grades, merged in server-index order in a fleet.
 
-        An unknown keyword, or a ``profile`` that is not a bool, raises
-        :class:`TypeError`.
+        An unknown keyword, a ``profile`` that is not a bool, or a value
+        its observer cannot take raises :class:`TypeError` (an unknown
+        recorder preset: :class:`ValueError`) here, before any simulator
+        is built.  An observer's module is imported only when its keyword
+        is on.
         """
         if not isinstance(profile, bool):
             raise TypeError(
@@ -313,12 +313,16 @@ class Observers:
         return cls(
             sinks=tuple(sinks or ()),
             audit=bool(audit),
-            record_timeseries=resolve_recorder_config(record_timeseries),
+            record_timeseries=_resolve(
+                record_timeseries, "repro.telemetry.recorder", "resolve_recorder_config"
+            ),
             profile=profile,
             energy_attribution=bool(energy_attribution),
-            trace_requests=resolve_trace_config(trace_requests),
+            trace_requests=_resolve(
+                trace_requests, "repro.telemetry.tracing", "resolve_trace_config"
+            ),
             profile_fleet=bool(profile_fleet),
-            monitor=resolve_monitor(monitor),
+            monitor=_resolve(monitor, "repro.telemetry.monitor", "resolve_monitor"),
         )
 
     def reject(self, names: Sequence[str], run: str) -> "Observers":
@@ -332,6 +336,14 @@ class Observers:
         if on:
             raise ValueError(f"{run} cannot carry the observers {', '.join(on)}")
         return self
+
+
+def _resolve(spec, module: str, resolver: str):
+    """``spec`` normalized by ``resolver`` from ``module``; None and False
+    are off and import nothing."""
+    if spec is None or spec is False:
+        return None
+    return getattr(importlib.import_module(module), resolver)(spec)
 
 
 #: Observers only a fleet run carries, and those only a single run does.
@@ -436,6 +448,8 @@ class Station:
             self.accounting.attach(server.package.cores)
         self.recorder: Optional[TimeSeriesRecorder] = None
         if observers.record_timeseries is not None:
+            from repro.cluster.recording import build_server_recorder
+
             self.recorder = build_server_recorder(sim, server, observers.record_timeseries)
         for device in (server, *self.sources):
             switch.connect(device)
@@ -497,6 +511,11 @@ class Station:
         for core in server.package.cores:
             for state, count in core.cstate_entries.items():
                 cstate_entries[state] = cstate_entries.get(state, 0) + count
+        energy_attribution: Optional[EnergyAttribution] = None
+        if self.accounting is not None:
+            from repro.analysis.energy import attribution_between
+
+            energy_attribution = attribution_between(accounting_a, accounting_b, energy)
         return ServerMeasure(
             index=index,
             name=server.name,
@@ -511,11 +530,7 @@ class Station:
             ncap_stats=ncap_stats,
             counters=server.telemetry.stats.snapshot(),
             timeseries=self.recorder.bundle() if self.recorder is not None else None,
-            energy_attribution=(
-                attribution_between(accounting_a, accounting_b, energy)
-                if self.accounting is not None
-                else None
-            ),
+            energy_attribution=energy_attribution,
         )
 
 
@@ -627,8 +642,11 @@ class ShardRun:
         self.window = (first.warmup_ns, first.warmup_ns + first.measure_ns)
         self.sim = Simulator()
         #: The shard's own profiler, reported in :attr:`ShardResult.profile`.
-        self.profiler = SimProfiler() if observers.profile else None
-        if self.profiler is not None:
+        self.profiler: Optional[SimProfiler] = None
+        if observers.profile:
+            from repro.profiling.profiler import SimProfiler
+
+            self.profiler = SimProfiler()
             self.profiler.attach(self.sim)
         self.rng = RngRegistry(first.seed)
         self.switch = Switch(self.sim)
@@ -641,6 +659,8 @@ class ShardRun:
         self.last_window_events = 0
         self.tracer: Optional[RequestTraceCollector] = None
         if observers.trace_requests is not None:
+            from repro.telemetry.tracing import RequestTraceCollector
+
             self.tracer = RequestTraceCollector(observers.trace_requests.sample_every)
         unrecorded = replace(observers, record_timeseries=None)
         for i, config in servers:
@@ -745,14 +765,19 @@ class Cluster:
         # Building the server emits probe events, so the sinks are on the
         # telemetry before the station is built.
         self.telemetry = Telemetry()
-        self.auditor: Optional[InvariantAuditor] = (
-            self.telemetry.add_sink(InvariantAuditor()) if self.observers.audit else None
-        )
+        self.auditor: Optional[InvariantAuditor] = None
+        if self.observers.audit:
+            from repro.analysis.audit import InvariantAuditor
+
+            self.auditor = self.telemetry.add_sink(InvariantAuditor())
         self.attribution: Optional[AttributionSink] = None
-        for sink in self.observers.sinks:
-            self.telemetry.add_sink(sink)
-            if isinstance(sink, AttributionSink):
-                self.attribution = sink
+        if self.observers.sinks:
+            from repro.analysis.attribution import AttributionSink
+
+            for sink in self.observers.sinks:
+                self.telemetry.add_sink(sink)
+                if isinstance(sink, AttributionSink):
+                    self.attribution = sink
         self.shard = ShardRun(
             [(None, config)], observers=self.observers, telemetry=self.telemetry
         )

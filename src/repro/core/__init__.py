@@ -1,22 +1,13 @@
 """NCAP — the paper's contribution: packet context-aware power management."""
 
-from repro.core.config import DEFAULT_TEMPLATES, NCAPConfig, aggressive, conservative
-from repro.core.decision_engine import DecisionEngine
-from repro.core.ncap_driver import NCAPDriverExtension
-from repro.core.ncap_nic import NCAPHardware
-from repro.core.ncap_sw import NCAPSoftware
-from repro.core.req_monitor import ReqMonitor
-from repro.core.tx_counter import TxBytesCounter
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_TEMPLATES",
-    "NCAPConfig",
-    "aggressive",
-    "conservative",
-    "DecisionEngine",
-    "NCAPDriverExtension",
-    "NCAPHardware",
-    "NCAPSoftware",
-    "ReqMonitor",
-    "TxBytesCounter",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".config": ("DEFAULT_TEMPLATES", "NCAPConfig", "aggressive", "conservative"),
+    ".decision_engine": ("DecisionEngine",),
+    ".ncap_driver": ("NCAPDriverExtension",),
+    ".ncap_nic": ("NCAPHardware",),
+    ".ncap_sw": ("NCAPSoftware",),
+    ".req_monitor": ("ReqMonitor",),
+    ".tx_counter": ("TxBytesCounter",),
+})

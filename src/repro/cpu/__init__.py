@@ -1,29 +1,13 @@
 """CPU substrate: P/C states, DVFS timing, power model, cores, packages."""
 
-from repro.cpu.config import ProcessorConfig
-from repro.cpu.core import Core, CoreBusyError, CoreState, Job
-from repro.cpu.cstates import CState, CStateTable, default_cstates
-from repro.cpu.energy import EnergyReport, PowerMeter
-from repro.cpu.package import ClockDomain
-from repro.cpu.power import PowerMode, PowerModel, PowerModelConfig
-from repro.cpu.pstates import DVFSTimingModel, PState, PStateTable
+from repro import _lazy_exports
 
-__all__ = [
-    "ProcessorConfig",
-    "Core",
-    "CoreBusyError",
-    "CoreState",
-    "Job",
-    "CState",
-    "CStateTable",
-    "default_cstates",
-    "EnergyReport",
-    "PowerMeter",
-    "ClockDomain",
-    "PowerMode",
-    "PowerModel",
-    "PowerModelConfig",
-    "DVFSTimingModel",
-    "PState",
-    "PStateTable",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".config": ("ProcessorConfig",),
+    ".core": ("Core", "CoreBusyError", "CoreState", "Job"),
+    ".cstates": ("CState", "CStateTable", "default_cstates"),
+    ".energy": ("EnergyReport", "PowerMeter"),
+    ".package": ("ClockDomain",),
+    ".power": ("PowerMode", "PowerModel", "PowerModelConfig"),
+    ".pstates": ("DVFSTimingModel", "PState", "PStateTable"),
+})

@@ -7,7 +7,9 @@
   on-chip voltage regulators.
 """
 
-from repro.ext.adrenaline import AdrenalineServerNode
-from repro.ext.slack import SlackController
+from repro import _lazy_exports
 
-__all__ = ["AdrenalineServerNode", "SlackController"]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".adrenaline": ("AdrenalineServerNode",),
+    ".slack": ("SlackController",),
+})

@@ -16,86 +16,26 @@ keyed by :func:`config_hash` skips points whose configs are unchanged.
     )
 """
 
-from repro.harness.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchCheck,
-    BenchScenario,
-    BenchSuite,
-    ScenarioStats,
-    baseline_path,
-    compare_to_baseline,
-    format_check_report,
-    format_suite_report,
-    load_bench_json,
-    run_suite,
-    validate_bench_payload,
-    write_bench_json,
-)
-from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
-from repro.harness.hashing import HASH_SCHEMA_VERSION, canonical_json, config_hash
-from repro.harness.history import (
-    BenchHistory,
-    StepFlag,
-    TrendSeries,
-    discover_bench_files,
-    flag_steps,
-    format_history_report,
-    load_bench_history,
-)
-from repro.harness.record import RECORD_SCHEMA_VERSION, ResultRecord
-from repro.harness.runner import (
-    JOBS_ENV,
-    RunProgress,
-    Runner,
-    execute_spec,
-    resolve_jobs,
-    run_sweep,
-)
-from repro.harness.settings import RunSettings
-from repro.harness.spec import LoadLike, PolicyLike, RunSpec, SweepSpec, policy_label
-from repro.harness.suites import SUITES, get_suite
+from repro import _lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchCheck",
-    "BenchHistory",
-    "BenchScenario",
-    "BenchSuite",
-    "StepFlag",
-    "TrendSeries",
-    "DEFAULT_CACHE_DIR",
-    "HASH_SCHEMA_VERSION",
-    "JOBS_ENV",
-    "SUITES",
-    "ScenarioStats",
-    "LoadLike",
-    "PolicyLike",
-    "RECORD_SCHEMA_VERSION",
-    "ResultCache",
-    "ResultRecord",
-    "RunProgress",
-    "Runner",
-    "RunSettings",
-    "RunSpec",
-    "SweepSpec",
-    "baseline_path",
-    "canonical_json",
-    "compare_to_baseline",
-    "config_hash",
-    "default_cache_dir",
-    "discover_bench_files",
-    "execute_spec",
-    "flag_steps",
-    "format_check_report",
-    "format_history_report",
-    "format_suite_report",
-    "load_bench_history",
-    "get_suite",
-    "load_bench_json",
-    "policy_label",
-    "resolve_jobs",
-    "run_suite",
-    "run_sweep",
-    "validate_bench_payload",
-    "write_bench_json",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".bench": (
+        "BENCH_SCHEMA_VERSION", "BenchCheck", "BenchScenario", "BenchSuite",
+        "ScenarioStats", "baseline_path", "compare_to_baseline",
+        "format_check_report", "format_suite_report", "load_bench_json",
+        "run_suite", "validate_bench_payload", "write_bench_json",
+    ),
+    ".cache": ("DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir"),
+    ".hashing": ("HASH_SCHEMA_VERSION", "canonical_json", "config_hash"),
+    ".history": (
+        "BenchHistory", "StepFlag", "TrendSeries", "discover_bench_files",
+        "flag_steps", "format_history_report", "load_bench_history",
+    ),
+    ".record": ("RECORD_SCHEMA_VERSION", "ResultRecord"),
+    ".runner": (
+        "JOBS_ENV", "RunProgress", "Runner", "execute_spec", "resolve_jobs", "run_sweep",
+    ),
+    ".settings": ("RunSettings",),
+    ".spec": ("LoadLike", "PolicyLike", "RunSpec", "SweepSpec", "policy_label"),
+    ".suites": ("SUITES", "get_suite"),
+})

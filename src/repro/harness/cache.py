@@ -9,14 +9,11 @@ treated as a miss (and the stale entry is ignored), never as an error.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
 from typing import Optional
 
 from repro.harness.record import RECORD_SCHEMA_VERSION, ResultRecord
-
-logger = logging.getLogger(__name__)
 
 #: Default cache location (relative to the working directory); the CLI
 #: and ``REPRO_CACHE_DIR`` can point somewhere else.
@@ -88,7 +85,9 @@ class ResultCache:
                     stale += 1
         except OSError:
             pass
-        logger.warning(
+        import logging
+
+        logging.getLogger(__name__).warning(
             "result cache %s: %d entr%s from older record schemas "
             "(first seen: v%s, current is v%d); they will be re-simulated",
             self.directory,

@@ -8,11 +8,11 @@ two backends are interchangeable — a parallel sweep returns bit-identical
 records in the same order as a serial one, regardless of completion
 order.
 
-The pool machinery (``concurrent.futures.process`` and
-``multiprocessing``) is imported only when a pool is built, so a serial
-run never loads it.  A worker that dies mid-run surfaces as a
-``RuntimeError`` naming the sweep point or item it was waiting on,
-chained from the pool's ``BrokenProcessPool``.
+The pool machinery (``concurrent.futures`` and ``multiprocessing``) is
+imported only when a pool is built, so a serial run never loads it.  A
+worker that dies mid-run surfaces as a ``RuntimeError`` naming the sweep
+point or item it was waiting on, chained from the pool's
+``BrokenProcessPool``.
 
 Job-count resolution: explicit ``jobs`` argument, else the ``REPRO_JOBS``
 environment variable, else ``os.cpu_count()``.
@@ -21,15 +21,17 @@ environment variable, else ``os.cpu_count()``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
 from repro.cluster.simulation import run_experiment
 from repro.harness.cache import ResultCache
 from repro.harness.hashing import config_hash
 from repro.harness.record import ResultRecord
 from repro.harness.spec import RunSpec, SweepSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -75,6 +77,8 @@ def execute_spec(spec: RunSpec) -> ResultRecord:
 def pool_result(future: Future, what: str):
     """``future.result()``; a dead pool worker becomes a ``RuntimeError``
     naming ``what`` the future was running."""
+    from concurrent.futures import BrokenExecutor
+
     try:
         return future.result()
     except BrokenExecutor as exc:

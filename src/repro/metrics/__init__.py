@@ -1,24 +1,12 @@
 """Metrics: latency percentiles, energy windows, recorded series, text reports."""
 
-from repro.metrics.energy import average_power_w, energy_delta
-from repro.metrics.latency import LatencyStats
-from repro.metrics.report import format_series, format_table, sparkline
-from repro.metrics.timeseries import (
-    bandwidth_series_mbps,
-    counter_bins,
-    normalized_series,
-    window_points,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "average_power_w",
-    "energy_delta",
-    "LatencyStats",
-    "format_series",
-    "format_table",
-    "sparkline",
-    "bandwidth_series_mbps",
-    "counter_bins",
-    "normalized_series",
-    "window_points",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".energy": ("average_power_w", "energy_delta"),
+    ".latency": ("LatencyStats",),
+    ".report": ("format_series", "format_table", "sparkline"),
+    ".timeseries": (
+        "bandwidth_series_mbps", "counter_bins", "normalized_series", "window_points",
+    ),
+})

@@ -1,38 +1,15 @@
 """Network substrate: frames, links, switch, NIC, interrupt moderation."""
 
-from repro.net.driver import NICDriver
-from repro.net.interrupts import ICR, InterruptModerator, ModerationConfig
-from repro.net.link import Link, LinkPort
-from repro.net.nic import NIC
-from repro.net.packet import (
-    HEADER_BYTES,
-    MSS,
-    MTU,
-    Frame,
-    make_http_request,
-    make_memcached_request,
-    make_response,
-    segments_for,
-    wire_bytes_for,
-)
-from repro.net.switch import Switch
+from repro import _lazy_exports
 
-__all__ = [
-    "NICDriver",
-    "ICR",
-    "InterruptModerator",
-    "ModerationConfig",
-    "Link",
-    "LinkPort",
-    "NIC",
-    "HEADER_BYTES",
-    "MSS",
-    "MTU",
-    "Frame",
-    "make_http_request",
-    "make_memcached_request",
-    "make_response",
-    "segments_for",
-    "wire_bytes_for",
-    "Switch",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".driver": ("NICDriver",),
+    ".interrupts": ("ICR", "InterruptModerator", "ModerationConfig"),
+    ".link": ("Link", "LinkPort"),
+    ".nic": ("NIC",),
+    ".packet": (
+        "HEADER_BYTES", "MSS", "MTU", "Frame", "make_http_request",
+        "make_memcached_request", "make_response", "segments_for", "wire_bytes_for",
+    ),
+    ".switch": ("Switch",),
+})

@@ -1,33 +1,16 @@
 """OS-kernel substrate: scheduler, IRQs, timers, cpufreq/cpuidle, sysfs."""
 
-from repro.oskernel.cpufreq import (
-    CpufreqDriver,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-    UserspaceGovernor,
-)
-from repro.oskernel.cpuidle import CpuidleDriver, LadderGovernor, MenuGovernor
-from repro.oskernel.irq import IRQController
-from repro.oskernel.netstack import NetStackCosts
-from repro.oskernel.scheduler import Scheduler
-from repro.oskernel.sysfs import SysFS, SysfsError
-from repro.oskernel.timers import OneShotKernelTask, PeriodicKernelTask
+from repro import _lazy_exports
 
-__all__ = [
-    "CpufreqDriver",
-    "OndemandGovernor",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "UserspaceGovernor",
-    "CpuidleDriver",
-    "LadderGovernor",
-    "MenuGovernor",
-    "IRQController",
-    "NetStackCosts",
-    "Scheduler",
-    "SysFS",
-    "SysfsError",
-    "OneShotKernelTask",
-    "PeriodicKernelTask",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".cpufreq": (
+        "CpufreqDriver", "OndemandGovernor", "PerformanceGovernor",
+        "PowersaveGovernor", "UserspaceGovernor",
+    ),
+    ".cpuidle": ("CpuidleDriver", "LadderGovernor", "MenuGovernor"),
+    ".irq": ("IRQController",),
+    ".netstack": ("NetStackCosts",),
+    ".scheduler": ("Scheduler",),
+    ".sysfs": ("SysFS", "SysfsError"),
+    ".timers": ("OneShotKernelTask", "PeriodicKernelTask"),
+})

@@ -20,26 +20,12 @@ lane for the existing Chrome-trace export.
     print(format_top_handlers(profiler.profile()))
 """
 
-from repro.profiling.export import (
-    collapsed_stacks,
-    format_top_handlers,
-    wall_clock_trace_events,
-)
-from repro.profiling.profiler import (
-    PROFILE_SCHEMA_VERSION,
-    HandlerStats,
-    LoopProfile,
-    SimProfiler,
-    peak_rss_bytes,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PROFILE_SCHEMA_VERSION",
-    "HandlerStats",
-    "LoopProfile",
-    "SimProfiler",
-    "collapsed_stacks",
-    "format_top_handlers",
-    "peak_rss_bytes",
-    "wall_clock_trace_events",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".export": ("collapsed_stacks", "format_top_handlers", "wall_clock_trace_events"),
+    ".profiler": (
+        "PROFILE_SCHEMA_VERSION", "HandlerStats", "LoopProfile", "SimProfiler",
+        "peak_rss_bytes",
+    ),
+})

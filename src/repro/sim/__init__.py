@@ -1,14 +1,9 @@
 """Discrete-event simulation substrate: kernel, units, RNG."""
 
-from repro.sim.kernel import Event, SimulationError, Simulator
-from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim import units
+from repro import _lazy_exports
 
-__all__ = [
-    "Event",
-    "SimulationError",
-    "Simulator",
-    "RngRegistry",
-    "derive_seed",
-    "units",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".kernel": ("Event", "SimulationError", "Simulator"),
+    ".rng": ("RngRegistry", "derive_seed"),
+    ".": ("units",),
+})

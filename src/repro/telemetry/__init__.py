@@ -23,33 +23,24 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.telemetry.events import (  # noqa: F401 - re-exported
-    CStateTransition,
-    GovernorDecision,
-    IrqDelivered,
-    NcapWake,
-    NicRx,
-    NicTx,
-    ProbeEvent,
-    PStateChange,
-    RequestAccounting,
-    RequestPhase,
-)
-from repro.telemetry.probes import ProbeBus, ProbePoint  # noqa: F401
-from repro.telemetry.recorder import (  # noqa: F401 - re-exported
-    RecorderConfig,
-    TimeseriesBundle,
-    TimeSeriesRecorder,
-    resolve_recorder_config,
-)
-from repro.telemetry.registry import (  # noqa: F401 - re-exported
-    Counter,
-    Distribution,
-    Gauge,
-    Scope,
-    StatsRegistry,
-)
-from repro.telemetry.sinks import ChromeTraceSink, node_of_domain  # noqa: F401
+from repro import _lazy_exports
+from repro.telemetry.probes import ProbeBus, ProbePoint
+from repro.telemetry.registry import Counter, Distribution, Gauge, Scope, StatsRegistry
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".events": (
+        "CStateTransition", "GovernorDecision", "IrqDelivered", "NcapWake", "NicRx",
+        "NicTx", "ProbeEvent", "PStateChange", "RequestAccounting", "RequestPhase",
+    ),
+    ".probes": ("ProbeBus", "ProbePoint"),
+    ".recorder": (
+        "RecorderConfig", "TimeseriesBundle", "TimeSeriesRecorder",
+        "resolve_recorder_config",
+    ),
+    ".registry": ("Counter", "Distribution", "Gauge", "Scope", "StatsRegistry"),
+    ".sinks": ("ChromeTraceSink", "node_of_domain"),
+    ".": ("Telemetry", "ensure_telemetry"),
+})
 
 
 class Telemetry:

@@ -88,19 +88,14 @@ def _rate_points_mbps(series: SeriesData) -> List[Tuple[int, float]]:
 def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
     """The canonical panel layout for a server flight-recorder bundle.
 
-    Unrecognized series each get their own trailing panel — counters as
-    per-second rates.
+    The panels group the series
+    :func:`~repro.cluster.recording.build_server_recorder` declares.  A
+    series of any other name is not drawn, and a panel with no data
+    points is left out.
     """
     panels: List[Panel] = []
-    used: set = set()
 
-    def take(name: str) -> Optional[SeriesData]:
-        series = bundle.get(name)
-        if series is not None:
-            used.add(name)
-        return series
-
-    freq = take("cpu.freq_ghz")
+    freq = bundle.get("cpu.freq_ghz")
     if freq is not None:
         panel = Panel("Frequency", "GHz", zero_base=False)
         panel.series.append(PanelSeries("package", _series_points(freq), step=True))
@@ -111,20 +106,20 @@ def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
         panel = Panel("C-state", "index")
         for name in cstates:
             panel.series.append(
-                PanelSeries(name[:-len(".cstate")], _series_points(take(name)), step=True)
+                PanelSeries(name[:-len(".cstate")], _series_points(bundle.get(name)), step=True)
             )
         panels.append(panel)
 
-    util = take("cpu.util")
+    util = bundle.get("cpu.util")
     if util is not None:
         panels.append(Panel("Utilization", "U", [PanelSeries("mean util", _series_points(util))]))
 
-    power = take("power.watts")
+    power = bundle.get("power.watts")
     if power is not None:
         panels.append(Panel("Power", "W", [PanelSeries("package", _series_points(power))]))
 
-    runq = take("runq.depth")
-    ring = take("nic.rx_ring")
+    runq = bundle.get("runq.depth")
+    ring = bundle.get("nic.rx_ring")
     if runq is not None or ring is not None:
         panel = Panel("Queues", "depth")
         if runq is not None:
@@ -133,8 +128,8 @@ def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
             panel.series.append(PanelSeries("rx ring", _series_points(ring)))
         panels.append(panel)
 
-    rx = take("nic.rx.bytes")
-    tx = take("nic.tx.bytes")
+    rx = bundle.get("nic.rx.bytes")
+    tx = bundle.get("nic.tx.bytes")
     if rx is not None or tx is not None:
         panel = Panel("Network", "Mb/s")
         if rx is not None:
@@ -143,8 +138,8 @@ def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
             panel.series.append(PanelSeries("BW(Tx)", _rate_points_mbps(tx)))
         panels.append(panel)
 
-    reqs = take("app.requests")
-    resps = take("app.responses")
+    reqs = bundle.get("app.requests")
+    resps = bundle.get("app.responses")
     if reqs is not None or resps is not None:
         panel = Panel("Requests", "req/s")
         if reqs is not None:
@@ -156,16 +151,6 @@ def standard_panels(bundle: TimeseriesBundle) -> List[Panel]:
                 PanelSeries("responded", [(t, r) for t, r in resps.rate_points()])
             )
         panels.append(panel)
-
-    for name in bundle.names():
-        if name in used:
-            continue
-        series = bundle.get(name)
-        if series.kind == "counter":
-            points = [(t, r) for t, r in series.rate_points()]
-            panels.append(Panel(name, "/s", [PanelSeries(name, points)]))
-        else:
-            panels.append(Panel(name, "", [PanelSeries(name, _series_points(series))]))
 
     return [p for p in panels if p.has_data()]
 

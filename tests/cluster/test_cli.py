@@ -28,6 +28,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig", "3"])  # not a repro target
 
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--rps", "-1"], "--rps"),
+        (["run", "--rps", "0"], "--rps"),
+        (["run", "--rps", "nan"], "--rps"),
+        (["profile", "headline", "--rps", "-3"], "--rps"),
+        (["trace", "ncap", "--rps", "-3"], "--rps"),
+        (["dashboard", "headline", "--rps", "-3"], "--rps"),
+        (["sweep", "--apps", "apache", "--policies", "perf", "--loads", "-5"],
+         "--loads"),
+        (["sweep", "--apps", "apache", "--policies", "perf", "--loads", "0"],
+         "--loads"),
+        (["datacenter", "frontend", "--users", "0"], "--users"),
+        (["datacenter", "frontend", "--rps", "-1"], "--rps"),
+    ])
+    def test_non_positive_number_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: must be positive" in err
+        assert "Traceback" not in err
+
+    def test_load_names_stay_names(self):
+        args = build_parser().parse_args(
+            ["sweep", "--loads", "low", "24000", "1.5e4"]
+        )
+        assert args.loads == ["low", 24000.0, 15000.0]
+
 
 class TestRunCommand:
     def test_run_prints_metrics(self, capsys):

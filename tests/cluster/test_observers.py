@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.attribution import AttributionSink
 from repro.cluster.datacenter import DatacenterConfig, run_datacenter
 from repro.cluster.frontend import FrontendConfig
+from repro.cluster import simulation
 from repro.cluster.sharding import ShardedDatacenterRun
 from repro.cluster.simulation import (
     FLEET_ONLY,
@@ -208,6 +209,24 @@ class TestRejection:
     def test_profiler_instance_is_a_type_error(self, kind):
         with pytest.raises(TypeError, match="profile"):
             RUNS[kind](profile=SimProfiler())
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: run_experiment(SINGLE, record_timeseries="ultra"),
+         ValueError, "ultra"),
+        (lambda: ShardedDatacenterRun(FLEET, jobs=1, monitor=3.5),
+         TypeError, "monitor"),
+        (lambda: ShardedDatacenterRun(FLEET, jobs=1, trace_requests="x"),
+         TypeError, "trace_requests"),
+    ], ids=["record_timeseries", "monitor", "trace_requests"])
+    def test_bad_observer_value_fails_before_any_simulator(
+        self, build, error, match, monkeypatch
+    ):
+        def no_simulator():
+            raise AssertionError("a simulator was built")
+
+        monkeypatch.setattr(simulation, "Simulator", no_simulator)
+        with pytest.raises(error, match=match):
+            build()
 
 
 class TestMonitorFile:

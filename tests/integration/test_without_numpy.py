@@ -1,7 +1,8 @@
 """The model is standard-library Python: it runs with numpy blocked.
 
 A fresh interpreter sets ``sys.modules["numpy"] = None``, so any numpy
-import raises, then imports the package, runs one experiment to a
+import raises, then imports every module of the package (``__main__``
+aside, which would run the CLI), runs one experiment to a
 ``ResultRecord`` and one serial sharded fleet.  Its record must equal
 the one this process builds (with numpy importable), and a serial run
 must leave the process-pool stack unloaded.
@@ -24,10 +25,13 @@ CONFIG = dict(
 )
 
 CHILD = f"""
-import json, sys
+import importlib, json, pkgutil, sys
 sys.modules["numpy"] = None
 
-import repro, repro.cli, repro.experiments, repro.ext
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name != "repro.__main__":
+        importlib.import_module(info.name)
 from repro.cluster.datacenter import DatacenterConfig
 from repro.cluster.sharding import ShardedDatacenterRun
 from repro.cluster.simulation import ExperimentConfig, run_experiment

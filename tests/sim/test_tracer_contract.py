@@ -114,5 +114,7 @@ def test_every_attribute_the_tracer_patches_exists():
     for module, owner, name in PATCHED_BY_NAME:
         target = importlib.import_module(module)
         if owner is not None:
-            target = vars(target)[owner]
+            # Looked up as the tracer's ``from <module> import <owner>``
+            # does: a package's exports enter its namespace on first use.
+            target = getattr(target, owner)
         assert name in vars(target), f"{module}.{owner or ''}.{name}"
