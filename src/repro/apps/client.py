@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.workload import burst_arrival_times
@@ -22,6 +23,10 @@ from repro.net.packet import Frame, make_http_request, make_memcached_request
 from repro.sim.kernel import Event, Simulator
 
 _req_ids = itertools.count(1)
+
+#: Time between two requests of one burst.  A client sends at most one
+#: request per gap, so ``n`` clients offer at most ``n * 1e9 / gap`` RPS.
+INTRA_BURST_GAP_NS = 1_000
 
 
 def reset_request_ids(start: int = 1) -> None:
@@ -65,14 +70,21 @@ def memcached_request_factory(
 
 class RequestLedger:
     """The receive side every traffic source shares: books each request's
-    send time and turns the matching response into an RTT sample."""
+    send time and turns the matching response into an RTT sample.
+
+    Answered requests are the one per-request record that lives for a
+    whole run, so they are kept as two 64-bit columns, 16 bytes each:
+    ``send_ns[i]`` and ``rtt_ns[i]`` are the i-th answered request's send
+    time and RTT, in the order the responses arrived.
+    """
 
     def __init__(self, sim: Simulator, name: str):
         self._sim = sim
         self.name = name
         self._port: Optional[LinkPort] = None
-        self.sent: Dict[int, int] = {}         # req_id -> send time
-        self.rtts: List[Tuple[int, int]] = []  # (send time, rtt)
+        self.sent: Dict[int, int] = {}  # req_id -> send time
+        self.send_ns = array("q")
+        self.rtt_ns = array("q")
         #: Called as ``listener(req_id, send_ns, rtt_ns)`` on each response.
         self.rtt_listeners: List[Callable[[int, int, int], None]] = []
         self.requests_sent = 0
@@ -90,7 +102,8 @@ class RequestLedger:
             return
         self.responses_received += 1
         rtt_ns = self._sim.now - send_ns
-        self.rtts.append((send_ns, rtt_ns))
+        self.send_ns.append(send_ns)
+        self.rtt_ns.append(rtt_ns)
         for listener in self.rtt_listeners:
             listener(frame.req_id, send_ns, rtt_ns)
 
@@ -99,12 +112,20 @@ class RequestLedger:
         """Requests sent and not yet answered."""
         return len(self.sent)
 
-    def rtts_in_window(self, start_ns: int, end_ns: int) -> List[int]:
-        """RTTs of requests *sent* within [start, end)."""
-        return [rtt for send, rtt in self.rtts if start_ns <= send < end_ns]
+    @property
+    def rtts(self) -> List[Tuple[int, int]]:
+        """The answered requests as ``(send time, rtt)`` pairs (a copy)."""
+        return list(zip(self.send_ns, self.rtt_ns))
+
+    def rtts_in_window(self, start_ns: int, end_ns: int) -> array:
+        """RTTs of requests *sent* within [start, end), as ``array("q")``."""
+        return array("q", (
+            rtt for send, rtt in zip(self.send_ns, self.rtt_ns)
+            if start_ns <= send < end_ns
+        ))
 
     def sent_in_window(self, start_ns: int, end_ns: int) -> int:
-        completed = sum(1 for send, _ in self.rtts if start_ns <= send < end_ns)
+        completed = sum(1 for send in self.send_ns if start_ns <= send < end_ns)
         pending = sum(1 for send in self.sent.values() if start_ns <= send < end_ns)
         return completed + pending
 
@@ -119,7 +140,7 @@ class OpenLoopClient(RequestLedger):
         request_factory: Callable[[int], Frame],
         burst_size: int = 100,
         burst_period_ns: int = 10_000_000,
-        intra_burst_gap_ns: int = 1_000,
+        intra_burst_gap_ns: int = INTRA_BURST_GAP_NS,
         jitter_rng: Optional[random.Random] = None,
         jitter_fraction: float = 0.0,
     ):

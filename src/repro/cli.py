@@ -102,15 +102,17 @@ def _preset_config(args: argparse.Namespace, presets: dict) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    result = run_experiment(
-        ExperimentConfig.from_settings(
-            settings,
+    try:
+        config = ExperimentConfig.from_settings(
+            _settings(args),
             app=args.app,
             policy=args.policy,
             target_rps=_resolve_rps(args.app, args.load, args.rps),
         )
-    )
+    except ValueError as exc:
+        print(f"repro run: error: {exc}", file=sys.stderr)
+        return 2
+    result = run_experiment(config)
     rows = [
         ["policy", result.policy_name],
         ["offered RPS", f"{result.target_rps / 1000:.0f}K"],
@@ -312,7 +314,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.metrics.export import export_chrome_trace
     from repro.telemetry import ChromeTraceSink
 
-    config = _preset_config(args, TRACE_PRESETS)
+    try:
+        config = _preset_config(args, TRACE_PRESETS)
+    except ValueError as exc:
+        print(f"repro trace: error: {exc}", file=sys.stderr)
+        return 2
     # Same seed -> same bytes: restart the global request-id counter so
     # span ids in the export do not depend on prior runs in this process.
     reset_request_ids()
@@ -336,7 +342,11 @@ DASHBOARD_PRESETS = {
 def cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.viz import dashboard_from_result, write_dashboard
 
-    config = _preset_config(args, DASHBOARD_PRESETS)
+    try:
+        config = _preset_config(args, DASHBOARD_PRESETS)
+    except ValueError as exc:
+        print(f"repro dashboard: error: {exc}", file=sys.stderr)
+        return 2
     result = run_experiment(
         config, record_timeseries=args.record, energy_attribution=True
     )
@@ -557,7 +567,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiling import collapsed_stacks, format_top_handlers
     from repro.telemetry import ChromeTraceSink
 
-    config = _preset_config(args, PROFILE_PRESETS)
+    try:
+        config = _preset_config(args, PROFILE_PRESETS)
+    except ValueError as exc:
+        print(f"repro profile: error: {exc}", file=sys.stderr)
+        return 2
     sink = ChromeTraceSink() if args.trace_out else None
     result = run_experiment(config, profile=True, sinks=[sink] if sink else None)
     profile = result.profile

@@ -98,6 +98,10 @@ class DatacenterConfig:
             self.frontend, FrontendConfig
         ):
             raise TypeError("frontend must be a FrontendConfig (or None)")
+        # Every server is built from its ``server_config``: build the
+        # busiest one now, so a rate its clients cannot offer fails here
+        # rather than in a shard worker.
+        self.server_config(max(self.resolved_shares()))
 
     def resolved_shares(self) -> Tuple[float, ...]:
         """The normalized per-server load shares."""

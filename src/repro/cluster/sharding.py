@@ -44,6 +44,7 @@ whole simulators.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from dataclasses import replace
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
@@ -535,7 +536,7 @@ def build_fleet_record(
     """
     if not measures:
         raise ValueError("cannot build a fleet record from zero servers")
-    rtts: List[int] = []
+    rtts = array("q")
     for m in measures:
         rtts.extend(m.rtts)
     latency = LatencyStats.from_values(rtts)

@@ -20,12 +20,15 @@ around their own server class.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import time
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.client import (
+    INTRA_BURST_GAP_NS,
     OpenLoopClient,
     http_request_factory,
     memcached_request_factory,
@@ -111,6 +114,15 @@ class ExperimentConfig:
             raise ValueError(f"target_rps must be positive, got {self.target_rps}")
         if self.n_clients < 1:
             raise ValueError(f"n_clients must be at least 1, got {self.n_clients}")
+        # A client sends one request per gap, so each burst period must be
+        # at least one burst long.
+        max_rps = self.n_clients * 1e9 / INTRA_BURST_GAP_NS
+        if self.target_rps > max_rps:
+            raise ValueError(
+                f"target_rps must be at most {max_rps:.0f} with {self.n_clients} "
+                f"client(s) (one request per {INTRA_BURST_GAP_NS} ns each), "
+                f"got {self.target_rps}"
+            )
         if self.burst_size is not None and self.burst_size < 1:
             raise ValueError(f"burst_size must be None or at least 1, got {self.burst_size}")
 
@@ -217,7 +229,8 @@ class ServerMeasure:
     index: int
     name: str
     policy_name: str
-    rtts: List[int]
+    #: RTTs of the requests sent in the window, ``array("q")``.
+    rtts: array
     sent: int
     responses: int
     energy: EnergyReport
@@ -479,10 +492,11 @@ class Station:
             accounting.snapshot() if accounting is not None else None,
         ))
 
-    def window_rtts(self, window: Tuple[int, int]) -> List[int]:
-        """RTTs of the requests sent within ``window``, source by source."""
+    def window_rtts(self, window: Tuple[int, int]) -> array:
+        """RTTs of the requests sent within ``window``, source by source,
+        as ``array("q")``."""
         start, end = window
-        rtts: List[int] = []
+        rtts = array("q")
         for source in self.sources:
             rtts.extend(source.rtts_in_window(start, end))
         return rtts
@@ -875,5 +889,22 @@ def run_experiment(
     garbage-collected between sweep points.  ``observers`` are the
     single-run keywords of :meth:`Observers.of`; none of them is a config
     field, so none invalidates cached results.
+
+    The finished cluster is freed before this returns, unless
+    ``keep_server`` keeps it reachable.
     """
-    return Cluster(config, **observers).run(keep_server=keep_server)
+    # The model is a cyclic object graph (simulator -> queue -> bound
+    # methods -> components -> simulator) that CPython would free only at
+    # its next full collection.  Freezing the caller's objects for the run
+    # makes the collection on the way out scan only what the run
+    # allocated.  A caller that disabled the collector or froze objects
+    # itself is left alone: ``gc.unfreeze`` would thaw them.
+    scoped = gc.isenabled() and gc.get_freeze_count() == 0
+    if scoped:
+        gc.freeze()
+    try:
+        return Cluster(config, **observers).run(keep_server=keep_server)
+    finally:
+        if scoped:
+            gc.collect()
+            gc.unfreeze()

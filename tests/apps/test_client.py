@@ -1,15 +1,19 @@
 """Tests for the open-loop bursty client."""
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.client import (
     OpenLoopClient,
+    RequestLedger,
     http_request_factory,
     memcached_request_factory,
 )
-from repro.net import make_response
+from repro.net import Frame, make_response
 from repro.sim import Simulator
 from repro.sim.units import MS, US
 
@@ -212,3 +216,100 @@ class TestBulkBurstPaths:
         sim.run(until=50 * MS - 1)
         assert client.requests_sent == 100
         assert sim.heap_size() <= 2
+
+
+class TupleLedger:
+    """The ledger as one list of ``(send, rtt)`` tuples: the oracle for
+    :class:`RequestLedger`'s two columns."""
+
+    def __init__(self):
+        self.sent = {}
+        self.rtts = []
+
+    def receive_frame(self, now, frame):
+        if frame.kind != "response" or frame.req_id is None:
+            return
+        send_ns = self.sent.pop(frame.req_id, None)
+        if send_ns is None:
+            return
+        self.rtts.append((send_ns, now - send_ns))
+
+    def rtts_in_window(self, start_ns, end_ns):
+        return [rtt for send, rtt in self.rtts if start_ns <= send < end_ns]
+
+    def sent_in_window(self, start_ns, end_ns):
+        completed = sum(1 for send, _ in self.rtts if start_ns <= send < end_ns)
+        pending = sum(1 for send in self.sent.values() if start_ns <= send < end_ns)
+        return completed + pending
+
+
+#: One ledger input: after ``dt`` ns, send a new request, or deliver a
+#: frame naming the ``pick``-th request sent so far (a response answers it
+#: or repeats an answer; a request frame is ignored), a response to an id
+#: never sent, or a response with no id.
+LEDGER_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 5_000),
+        st.sampled_from(["send", "send", "respond", "unknown", "no_id", "request"]),
+        st.integers(0, 10_000),
+    ),
+    max_size=80,
+)
+
+
+class TestLedgerColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=LEDGER_STEPS,
+        # Window edges at step times (where sends happen), nudged by -1..1 ns.
+        windows=st.lists(
+            st.tuples(st.integers(0, 80), st.integers(0, 80), st.integers(-1, 1)),
+            max_size=6,
+        ),
+    )
+    def test_windows_match_the_tuple_ledger(self, steps, windows):
+        sim = Simulator()
+        ledger = RequestLedger(sim, "client0")
+        oracle = TupleLedger()
+        ids = []
+
+        def send(req_id):
+            ledger.sent[req_id] = oracle.sent[req_id] = sim.now
+
+        def deliver(frame):
+            ledger.receive_frame(frame)
+            oracle.receive_frame(sim.now, frame)
+
+        now = 0
+        times = [now]
+        for dt, action, pick in steps:
+            now += dt
+            times.append(now)
+            if action == "send":
+                ids.append(len(ids) + 1)
+                sim.schedule_at(now, send, ids[-1])
+                continue
+            req_id = ids[pick % len(ids)] if ids else pick
+            if action == "unknown":
+                req_id = 10**9 + pick
+            elif action == "no_id":
+                req_id = None
+            kind = "request" if action == "request" else "response"
+            frame = Frame("server", "client0", 100, kind=kind, req_id=req_id)
+            sim.schedule_at(now, deliver, frame)
+        sim.run()
+
+        assert isinstance(ledger.send_ns, array) and ledger.send_ns.typecode == "q"
+        assert isinstance(ledger.rtt_ns, array) and ledger.rtt_ns.typecode == "q"
+        assert ledger.rtts == oracle.rtts
+        assert ledger.responses_received == len(oracle.rtts)
+        assert ledger.outstanding == len(oracle.sent)
+        edges = [
+            (times[i % len(times)] + nudge, times[j % len(times)] + nudge)
+            for i, j, nudge in windows
+        ]
+        for start, end in edges + [(0, now + 1)]:
+            rtts = ledger.rtts_in_window(start, end)
+            assert isinstance(rtts, array) and rtts.typecode == "q"
+            assert list(rtts) == oracle.rtts_in_window(start, end)
+            assert ledger.sent_in_window(start, end) == oracle.sent_in_window(start, end)

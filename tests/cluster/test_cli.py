@@ -50,6 +50,15 @@ class TestParser:
         assert f"error: argument {option}: must be positive" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["run"], ["profile", "fig4"],
+                                         ["trace", "fig4"], ["dashboard", "fig4"],
+                                         ["datacenter", "frontend"]])
+    def test_rate_the_clients_cannot_offer_is_an_error(self, capsys, command):
+        assert main([*command, "--settings", "quick", "--rps", "1e12"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command[0]}: error: target_rps must be at most")
+        assert "Traceback" not in err
+
     def test_load_names_stay_names(self):
         args = build_parser().parse_args(
             ["sweep", "--loads", "low", "24000", "1.5e4"]

@@ -2,6 +2,7 @@
 coordinator-side planner, and the per-server frontend port."""
 
 import random
+from array import array
 
 import pytest
 
@@ -226,4 +227,4 @@ class TestFrontendPort:
         assert port.responses_received == 3
         assert port.outstanding == 0
         assert port.sent_in_window(0, 100 * US) == 3
-        assert port.rtts_in_window(35 * US, 45 * US) == [11 * US]
+        assert port.rtts_in_window(35 * US, 45 * US) == array("q", [11 * US])

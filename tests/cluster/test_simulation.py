@@ -1,7 +1,11 @@
 """Tests for the cluster experiment runner."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.apps.workload import LOAD_LEVELS
 from repro.cluster.datacenter import DatacenterConfig
 from repro.cluster.frontend import FrontendConfig
 from repro.cluster.simulation import Cluster, ExperimentConfig, run_experiment
@@ -109,6 +113,33 @@ class TestWorkloadFields:
             WORKLOADS[kind](**{field: value})
 
 
+class TestOfferedLoad:
+    """A client sends one request per 1 us gap, so ``n`` clients offer at
+    most ``n * 1e6`` RPS; a faster rate would need a burst period shorter
+    than the burst."""
+
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    def test_rate_above_the_clients_limit_rejected(self, n_clients):
+        for rps in (1e12, n_clients * 1e6 + 1):
+            with pytest.raises(ValueError, match=f"at most {n_clients}000000 with"):
+                ExperimentConfig(target_rps=rps, n_clients=n_clients)
+
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    def test_the_limit_itself_is_one_burst_per_period(self, n_clients):
+        config = ExperimentConfig(target_rps=n_clients * 1e6, n_clients=n_clients)
+        assert config.burst_period_ns == config.resolved_burst_size * 1_000
+
+    @pytest.mark.parametrize("kind", ["datacenter", "frontend"])
+    def test_fleet_checks_its_busiest_server_on_construction(self, kind):
+        with pytest.raises(ValueError, match="target_rps must be at most"):
+            WORKLOADS[kind](total_rps=1e12)
+
+    def test_every_preset_load_accepted(self):
+        for app, levels in LOAD_LEVELS.items():
+            for level in levels.values():
+                ExperimentConfig(app=app, target_rps=level.target_rps)
+
+
 class TestRun:
     def test_measure_window_accounting(self):
         result = run_experiment(quick_config())
@@ -206,3 +237,72 @@ class TestKeepServer:
         assert dropped.server is None
         assert kept.server is cluster.server
         assert dropped.latency == kept.latency
+
+
+def short_config(**overrides):
+    return quick_config(warmup_ns=0, measure_ns=5 * MS, drain_ns=5 * MS, **overrides)
+
+
+class TestRunLifetime:
+    """``run_experiment`` frees the run it built before it returns, and
+    leaves a caller's own collector settings alone."""
+
+    def test_finished_run_is_freed(self, monkeypatch):
+        sims = []
+        run = Cluster.run
+
+        def tracked(self, keep_server=False):
+            sims.append(weakref.ref(self.sim))
+            return run(self, keep_server=keep_server)
+
+        monkeypatch.setattr(Cluster, "run", tracked)
+        result = run_experiment(short_config())
+        assert result.responses_received > 0
+        assert sims[0]() is None
+        assert gc.get_freeze_count() == 0
+
+    def test_kept_server_survives(self):
+        result = run_experiment(short_config(policy="ncap.cons"), keep_server=True)
+        engine = result.server.engine
+        assert engine.it_high_posts == result.ncap_stats["it_high_posts"]
+        assert engine.it_low_posts == result.ncap_stats["it_low_posts"]
+
+    def test_disabled_collector_left_alone(self):
+        phases = []
+
+        def watch(phase, info):
+            phases.append(phase)
+
+        gc.callbacks.append(watch)
+        gc.disable()
+        try:
+            run_experiment(short_config())
+            enabled = gc.isenabled()
+            collections = list(phases)
+        finally:
+            gc.enable()
+            gc.callbacks.remove(watch)
+        assert not enabled
+        assert collections == []
+
+    def test_caller_frozen_objects_stay_frozen(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_experiment(short_config())
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_failed_run_unfreezes(self, monkeypatch):
+        during = []
+
+        def fail(self, keep_server=False):
+            during.append(gc.get_freeze_count())
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(Cluster, "run", fail)
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_experiment(short_config())
+        assert during[0] > 0
+        assert gc.get_freeze_count() == 0
