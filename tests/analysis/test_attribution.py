@@ -1,8 +1,19 @@
 """AttributionSink unit tests over a hand-driven event feed."""
 
-import pytest
+import gc
+import heapq
+import tracemalloc
 
-from repro.analysis.attribution import COMPONENTS, AttributionSink
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.attribution import (
+    COMPONENTS,
+    AttributionSink,
+    RequestAttribution,
+    TailAttribution,
+)
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     CStateTransition,
@@ -150,7 +161,9 @@ class TestDecomposition:
                 cpu_ns=1_300, cycles=1_100.0, stall_ns=100,
             )
         )
-        sink._done[("c0", 2)].components["kernel"] += 5.0
+        # _done holds (arrival, reply, dma, coalesce, kernel, ...).
+        done = sink._done[("c0", 2)]
+        sink._done[("c0", 2)] = done[:4] + (done[4] + 5.0,) + done[5:]
         sink.on_client_rtt("c0", 2, 1_000, 4_100)
         assert len(sink.conservation_violations) == 1
         assert "c0/2" in sink.conservation_violations[0]
@@ -180,6 +193,11 @@ class TestBookkeeping:
                      resp_enqueue=5_100, resp_start=5_300, reply=5_800,
                      receive=6_100)
         assert sink.count == 1
+
+    def test_top_k_below_one_rejected_when_built(self):
+        for top_k in (0, -1):
+            with pytest.raises(ValueError, match=rf"top_k must be at least 1, got {top_k}"):
+                AttributionSink(top_k=top_k)
 
     def test_f_max_required(self):
         sink = make_sink(f_max_hz=None)
@@ -231,3 +249,141 @@ class TestTails:
         report = sink.summary()
         assert report.count == 0
         assert report.tails == {}
+
+
+#: The server-side components of a ``_done`` tuple, after arrival and reply.
+SERVER_SIDE = (
+    "dma", "coalesce", "kernel", "wake", "queue", "service", "ramp",
+    "preempt", "io",
+)
+
+
+class ParentTopK(AttributionSink):
+    """Reference top-K: the design the flat rows replaced.
+
+    A heap of ``(total_ns, seq, RequestAttribution)`` with one components
+    dict per request, and tail means taken over the records in heap-list
+    order.  The server-side decomposition is the sink's own.
+    """
+
+    def on_client_rtt(self, src, req_id, send_ns, rtt_ns):
+        rec = self._done.pop((src, req_id), None)
+        if rec is None:
+            self.unmatched_rtts += 1
+            return
+        comp = dict(zip(SERVER_SIDE, rec[2:]))
+        comp["wire"] = float(rec[0] - send_ns)
+        comp["tx"] = float(send_ns + rtt_ns - rec[1])
+        self.count += 1
+        self.total_sketch.add(rtt_ns)
+        for i, name in enumerate(COMPONENTS):
+            self._component_sums[i] += comp[name]
+        self._seq += 1
+        record = RequestAttribution(src, req_id, send_ns, rtt_ns, comp)
+        entry = (rtt_ns, self._seq, record)
+        if len(self._heap) < self.top_k:
+            heapq.heappush(self._heap, entry)
+        elif entry > self._heap[0]:
+            heapq.heapreplace(self._heap, entry)
+
+    def tail(self, percentile):
+        threshold = self.total_sketch.quantile(percentile)
+        entries = [rec for total, _, rec in self._heap if total >= threshold]
+        if not entries:
+            entries = [max(self._heap)[2]]
+        mean_total = sum(r.total_ns for r in entries) / len(entries)
+        component_ns = {}
+        for name in COMPONENTS:
+            acc = 0.0  # left to right, as sum() added floats through 3.11
+            for r in entries:
+                acc += r.components[name]
+            component_ns[name] = acc / len(entries)
+        shares = {
+            name: (value / mean_total if mean_total else 0.0)
+            for name, value in component_ns.items()
+        }
+        return TailAttribution(
+            percentile, threshold, len(entries), mean_total, component_ns, shares
+        )
+
+
+class Fanout:
+    """One event feed into several sinks, shaped as ``feed_request`` wants."""
+
+    def __init__(self, *sinks):
+        self.sinks = sinks
+        self.telemetry = Telemetry()
+        for sink in sinks:
+            sink.attach(self.telemetry)
+
+    def on_client_rtt(self, *args):
+        for sink in self.sinks:
+            sink.on_client_rtt(*args)
+
+
+# Gaps of 100-400 ns between the nine phases: RTTs land on a coarse grid,
+# so many requests tie; fractional cycles make the float sums order-sensitive.
+REQUEST = st.fixed_dictionaries({
+    "gaps": st.lists(st.integers(1, 4).map(lambda k: 100 * k), min_size=9, max_size=9),
+    "irq": st.booleans(),
+    "cycles": st.floats(0.0, 2_000.0, allow_nan=False),
+    "cpu_ns": st.integers(0, 1_500),
+    "stall_ns": st.integers(0, 200),
+})
+
+
+class TestFlatTopK:
+    @settings(max_examples=40, deadline=None)
+    @given(top_k=st.integers(1, 64), data=st.data())
+    def test_summary_equals_parent_top_k(self, top_k, data):
+        n = data.draw(st.integers(top_k + 1, top_k + 32), label="requests")
+        feed = data.draw(st.lists(REQUEST, min_size=n, max_size=n), label="feed")
+        sink = AttributionSink(f_max_hz=F_MAX, top_k=top_k)
+        reference = ParentTopK(f_max_hz=F_MAX, top_k=top_k)
+        both = Fanout(sink, reference)
+        for i, request in enumerate(feed):
+            t = [10_000 * (i + 1)]
+            for gap in request["gaps"]:
+                t.append(t[-1] + gap)
+            send, arrival, dma, delivered, svc_start, svc_done, \
+                resp_enqueue, resp_start, reply, receive = t
+            feed_request(
+                both, req_id=i, send=send, arrival=arrival, dma=dma,
+                irq_at=dma + 50 if request["irq"] else None,
+                delivered=delivered, svc_start=svc_start, svc_done=svc_done,
+                resp_enqueue=resp_enqueue, resp_start=resp_start, reply=reply,
+                cpu_ns=request["cpu_ns"], cycles=request["cycles"],
+                stall_ns=request["stall_ns"], receive=receive,
+            )
+        assert sink.count == reference.count == n
+        assert [e[:2] for e in sink._heap] == [e[:2] for e in reference._heap]
+        flat = sink.summary().to_flat_dict()
+        expected = reference.summary().to_flat_dict()
+        assert list(flat) == list(expected)
+        for key, value in expected.items():
+            assert flat[key] == value, key
+
+    def test_top_k_entry_retains_at_most_320_bytes(self):
+        # A heap tuple, its three ints and one 88-byte row per entry come
+        # to about 250 B; a RequestAttribution with its components dict
+        # and eleven boxed floats took about 1 KB.
+        top_k = 1_024
+        sink = make_sink(top_k=top_k, keep_records=False)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2 * top_k):
+                t = 10_000 * (i + 1)
+                feed_request(
+                    sink, req_id=i, send=t - 1_000, arrival=t, dma=t + 100,
+                    delivered=t + 500, svc_start=t + 900, svc_done=t + 1_900,
+                    resp_enqueue=t + 2_100, resp_start=t + 2_300,
+                    reply=t + 2_800, receive=t + 3_100 + (i * 7_919) % 5_000,
+                )
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sink._heap) == top_k
+        assert retained / top_k <= 320
