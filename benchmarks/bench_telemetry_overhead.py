@@ -14,8 +14,14 @@ attribute truthiness check; this bench quantifies that cost two ways:
   scenarios ``repro bench telemetry`` runs — against the pre-refactor
   baseline measured on the same machine at commit e0c2572
   (median 0.454 s).
+
+The enabled-cost ratios (attributed / plain, energy / plain) are paired:
+each round times the three scenarios back to back, and the gate reads
+the median of the per-round ratios, so host drift between rounds cancels
+instead of deciding the result.
 """
 
+import statistics
 import time
 
 from repro.harness import format_suite_report, run_suite, validate_bench_payload
@@ -30,6 +36,9 @@ from repro.telemetry import StatsRegistry, Telemetry
 PRE_REFACTOR_BASELINE_S = 0.454
 
 _MICRO_ITERS = 1_000_000
+
+#: Rounds of plain, attributed and energy runs behind the paired ratios.
+_ROUNDS = 5
 
 
 def _time_ns_per_op(fn, iters=_MICRO_ITERS, repeats=5):
@@ -67,6 +76,23 @@ def _make_counter_inc():
     return inc
 
 
+def _paired_ratios(rounds=_ROUNDS):
+    """Median per-round ratios of the attributed and the energy run's
+    wall time to the plain run's in the same round.  Odd rounds run the
+    scenarios in reverse order, so no scenario always runs first."""
+    scenarios = [(scenario.name, scenario.fn) for scenario in TELEMETRY_SUITE.scenarios]
+    attributed, energy = [], []
+    for round_index in range(rounds):
+        wall = {}
+        for name, fn in scenarios[::-1] if round_index % 2 else scenarios:
+            t0 = time.perf_counter()
+            fn(None)
+            wall[name] = time.perf_counter() - t0
+        attributed.append(wall["headline_attributed"] / wall["headline_plain"])
+        energy.append(wall["headline_energy"] / wall["headline_plain"])
+    return statistics.median(attributed), statistics.median(energy)
+
+
 def test_telemetry_overhead(save_report):
     floor = _time_ns_per_op(_loop_floor)
     guard = _time_ns_per_op(_make_probe_guard())
@@ -78,8 +104,7 @@ def test_telemetry_overhead(save_report):
     attributed = payload["scenarios"]["headline_attributed"]["wall_s"]["median"]
     energy = payload["scenarios"]["headline_energy"]["wall_s"]["median"]
     off_ratio = plain / PRE_REFACTOR_BASELINE_S
-    on_ratio = attributed / plain
-    energy_ratio = energy / plain
+    on_ratio, energy_ratio = _paired_ratios()
 
     rows = [
         ["loop floor (ns/op)", round(floor, 2)],
@@ -91,8 +116,10 @@ def test_telemetry_overhead(save_report):
         ["energy-attributed wall (no audit), median of 5 (s)", round(energy, 3)],
         ["pre-refactor baseline (s)", PRE_REFACTOR_BASELINE_S],
         ["disabled-path ratio vs baseline", round(off_ratio, 3)],
-        ["enabled cost (attributed / plain)", round(on_ratio, 3)],
-        ["enabled cost (energy / plain)", round(energy_ratio, 3)],
+        [f"enabled cost (attributed / plain), median of {_ROUNDS} rounds",
+         round(on_ratio, 3)],
+        [f"enabled cost (energy / plain), median of {_ROUNDS} rounds",
+         round(energy_ratio, 3)],
     ]
     report = format_table(
         ["metric", "value"], rows,
