@@ -101,7 +101,8 @@ class ExperimentConfig:
     drain_ns: int = 60 * MS
     seed: int = 1
     ondemand_period_ns: int = 10 * MS
-    processor: ProcessorConfig = field(default_factory=ProcessorConfig)
+    #: Frozen, so every config that keeps the default shares one value.
+    processor: ProcessorConfig = ProcessorConfig()
     #: Override the NIC's per-frame rx DMA latency (None = NIC default).
     #: Used by the TOE-slack ablation (Section 7 of the paper).
     nic_dma_latency_ns: Optional[int] = None

@@ -24,6 +24,7 @@ kernel cycles per evaluation (see :mod:`repro.core.ncap_sw`).
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, List, Optional
 
 from repro.core.config import NCAPConfig
@@ -76,7 +77,9 @@ class DecisionEngine:
         self._wake_probe = self.telemetry.probe("ncap.wake")
         self.last_req_rate_rps: float = 0.0
         self.last_tx_rate_bps: float = 0.0
-        self._wake_times: List[int] = []
+        #: Proactive wake times: 8 B each in an array, against a boxed int
+        #: and a list slot.
+        self._wake_times = array("q")
 
     @property
     def ticks(self) -> int:

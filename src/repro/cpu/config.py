@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.cpu.cstates import CStateTable, default_cstates
 from repro.cpu.package import ClockDomain
@@ -26,7 +27,7 @@ class ProcessorConfig:
     v_min: float = 0.65
     v_ramp_rate_mv_per_us: float = 6.25
     pll_relock_us: float = 5.0
-    power: PowerModelConfig = field(default_factory=PowerModelConfig)
+    power: PowerModelConfig = PowerModelConfig()
     initial_pstate: int = 0
 
     def pstate_table(self) -> PStateTable:
@@ -53,14 +54,45 @@ class ProcessorConfig:
         name: str = "cpu",
         telemetry: Optional[Telemetry] = None,
     ) -> ClockDomain:
+        tables = processor_tables(self)
         return ClockDomain(
             sim=sim,
             n_cores=self.n_cores,
-            pstates=self.pstate_table(),
-            cstates=self.cstate_table(),
-            power_model=PowerModel(self.power),
-            dvfs_timing=self.dvfs_timing(),
+            pstates=tables.pstates,
+            cstates=tables.cstates,
+            power_model=tables.power_model,
+            dvfs_timing=tables.dvfs_timing,
             initial_pstate=self.initial_pstate,
             name=name,
             telemetry=telemetry,
         )
+
+
+class ProcessorTables(NamedTuple):
+    """The P-state, C-state, power and DVFS-timing tables of a config."""
+
+    pstates: PStateTable
+    cstates: CStateTable
+    power_model: PowerModel
+    dvfs_timing: DVFSTimingModel
+
+
+@functools.lru_cache(maxsize=None)
+def processor_tables(config: ProcessorConfig) -> ProcessorTables:
+    """The tables every package of ``config`` is built from, built once
+    per config *value*, not per instance: equal configs built apart (one
+    per fleet server's config, one per run) get the same objects.  A
+    process keeps one set, a few KB, for each distinct value it builds a
+    package from.
+
+    Sharing is safe because none of the four changes after it is built:
+    the tables are tuples of frozen states, the timing model is frozen,
+    and the power model's memo caches a pure function of
+    ``(mode, V, f)``, so what one run priced is what any run would price.
+    """
+    return ProcessorTables(
+        config.pstate_table(),
+        config.cstate_table(),
+        PowerModel(config.power),
+        config.dvfs_timing(),
+    )

@@ -20,8 +20,7 @@ Power bookkeeping is delegated to the attached :class:`PowerMeter`.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cpu.cstates import CState
 from repro.cpu.energy import PowerMeter
@@ -98,6 +97,15 @@ class Job:
 class Core:
     """One processor core inside a clock/voltage domain (its package)."""
 
+    __slots__ = (
+        "_sim", "core_id", "_package", "meter", "state", "on_idle", "take_next",
+        "on_idle_end", "_current", "_stack", "_pending", "_completion",
+        "_stall_end", "_stall_started", "_stall_account", "_wake_end",
+        "_run_started", "_cumulative_busy_ns", "_cstate", "_idle_since",
+        "cstate_entries", "wake_extra_ns", "last_idle_duration_ns",
+        "idle_periods_completed", "_boot_idle", "_cstate_probe", "_entry_counters",
+    )
+
     def __init__(self, sim: Simulator, core_id: int, package: "ClockDomain", meter: PowerMeter):
         self._sim = sim
         self.core_id = core_id
@@ -120,7 +128,9 @@ class Core:
 
         self._current: Optional[Job] = None
         self._stack: List[Job] = []
-        self._pending: Deque[Job] = deque()
+        #: SoftIRQ chains and jobs that hit a sleeping, waking or stalled
+        #: core: a few jobs at most, and usually none.
+        self._pending: List[Job] = []
         #: The core's completion event: armed while RUN, otherwise fired
         #: or cancelled, and re-armed by the next ``_start``.
         self._completion: Optional[Event] = None
@@ -296,7 +306,7 @@ class Core:
 
     def _maybe_run_next(self) -> None:
         if self._pending:
-            self._start(self._pending.popleft())
+            self._start(self._pending.pop(0))
         elif self._stack:
             self._start(self._stack.pop())
         else:

@@ -46,6 +46,12 @@ class PowerMeter:
     points, in the same order, as an event firing at the due time.
     """
 
+    __slots__ = (
+        "_sim", "_model", "_mode", "_key", "_voltage", "_freq_hz",
+        "_segment_start", "_power_w", "_started", "_due_mode", "_due_ns",
+        "energy_j", "residency_ns", "energy_by_mode_j",
+    )
+
     def __init__(self, sim: Simulator, model: PowerModel):
         self._sim = sim
         self._model = model

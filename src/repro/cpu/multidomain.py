@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.cpu.config import ProcessorConfig
+from repro.cpu.config import ProcessorConfig, processor_tables
 from repro.cpu.core import Core
 from repro.cpu.cstates import CStateTable
 from repro.cpu.energy import EnergyReport
 from repro.cpu.package import ClockDomain
-from repro.cpu.power import PowerModel
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry, ensure_telemetry
 
@@ -36,18 +35,16 @@ class MultiDomainProcessor:
         self.name = name
         self.config = config
         self.telemetry = ensure_telemetry(telemetry)
-        pstates = config.pstate_table()
-        self.cstates: CStateTable = config.cstate_table()
-        power_model = PowerModel(config.power)
-        timing = config.dvfs_timing()
+        tables = processor_tables(config)
+        self.cstates: CStateTable = tables.cstates
         self.domains: List[ClockDomain] = [
             ClockDomain(
                 sim,
                 n_cores=1,
-                pstates=pstates,
+                pstates=tables.pstates,
                 cstates=self.cstates,
-                power_model=power_model,
-                dvfs_timing=timing,
+                power_model=tables.power_model,
+                dvfs_timing=tables.dvfs_timing,
                 initial_pstate=config.initial_pstate,
                 name=f"{name}.domain{i}",
                 core_id_base=i,
@@ -56,7 +53,7 @@ class MultiDomainProcessor:
             for i in range(config.n_cores)
         ]
         self.cores: List[Core] = [d.cores[0] for d in self.domains]
-        self.pstates = pstates
+        self.pstates = tables.pstates
 
     # -- package-facade surface --------------------------------------------
 

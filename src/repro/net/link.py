@@ -31,6 +31,11 @@ class NetDevice(Protocol):
 class _Direction:
     """One direction of a link: a serializing FIFO plus propagation delay."""
 
+    __slots__ = (
+        "_sim", "_bandwidth", "_latency", "_sink", "_name", "_last_offer_ns",
+        "_tail_ns", "frames_carried", "bytes_carried",
+    )
+
     def __init__(self, sim: Simulator, bandwidth_bps: float, latency_ns: int):
         self._sim = sim
         self._bandwidth = bandwidth_bps
@@ -120,6 +125,8 @@ class Link:
 
 class LinkPort:
     """A device's handle for transmitting onto one link direction."""
+
+    __slots__ = ("_sim", "_direction", "peer", "delay_ns")
 
     def __init__(
         self, direction: _Direction, peer: Optional[NetDevice], delay_ns: int

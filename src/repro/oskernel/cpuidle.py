@@ -26,8 +26,7 @@ re-arms the governor on the first IT_LOW (Section 4.3).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cpu.core import Core, CoreState
 from repro.cpu.cstates import CState, CStateTable
@@ -40,22 +39,28 @@ class _HistoryGovernorBase:
     """Shared idle-duration observation machinery."""
 
     def __init__(self, cstates: CStateTable, history_len: int = 8):
+        if history_len < 0:
+            raise ValueError(f"history_len must be non-negative, got {history_len}")
         self.cstates = cstates
-        self._history: Dict[int, Deque[int]] = {}
+        #: core_id -> its last ``history_len`` idle durations, oldest first.
+        #: A plain list trimmed on append: a deque would allocate a
+        #: 64-slot block per core to hold eight values.
+        self._history: Dict[int, List[int]] = {}
         self._seen_periods: Dict[int, int] = {}
         self._history_len = history_len
 
-    def _observe(self, core: Core) -> Deque[int]:
+    def _observe(self, core: Core) -> List[int]:
         history = self._history.get(core.core_id)
         if history is None:
-            history = deque(maxlen=self._history_len)
-            self._history[core.core_id] = history
+            history = self._history[core.core_id] = []
             self._seen_periods[core.core_id] = 0
         completed = core.idle_periods_completed
         if completed > self._seen_periods[core.core_id]:
             # Only the most recent period is new information (select() is
             # invoked on every idle entry, so at most one period elapsed).
             history.append(core.last_idle_duration_ns)
+            if len(history) > self._history_len:
+                del history[0]
             self._seen_periods[core.core_id] = completed
         return history
 

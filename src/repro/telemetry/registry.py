@@ -15,6 +15,7 @@ components silently sharing a name is always a bug).
 from __future__ import annotations
 
 import re
+import sys
 from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 StatValue = Union[int, float]
@@ -99,6 +100,9 @@ class StatsRegistry:
             raise ValueError(f"invalid stat name {name!r}")
         stat = self._stats.get(name)
         if stat is None:
+            # Interned: every server of a fleet declares the same names,
+            # and each would otherwise keep its own formatted copy.
+            name = sys.intern(name)
             stat = kind(name)
             self._stats[name] = stat
         elif type(stat) is not kind:

@@ -215,6 +215,86 @@ class TestLadderGovernor:
         assert depth == 0
 
 
+class DequeHistory:
+    """The history as it was kept before the trimmed list: one
+    ``deque(maxlen=history_len)`` per core, as the reference."""
+
+    def _observe(self, core):
+        history = self._history.get(core.core_id)
+        if history is None:
+            history = deque(maxlen=self._history_len)
+            self._history[core.core_id] = history
+            self._seen_periods[core.core_id] = 0
+        completed = core.idle_periods_completed
+        if completed > self._seen_periods[core.core_id]:
+            history.append(core.last_idle_duration_ns)
+            self._seen_periods[core.core_id] = completed
+        return history
+
+
+class DequeMenu(DequeHistory, MenuGovernor):
+    pass
+
+
+class DequeLadder(DequeHistory, LadderGovernor):
+    pass
+
+
+class IdleCore:
+    """What a governor reads of a core: its id and its idle periods."""
+
+    def __init__(self, core_id):
+        self.core_id = core_id
+        self.idle_periods_completed = 0
+        self.last_idle_duration_ns = 0
+
+
+#: (governor, its deque twin, history length): the menu and ladder
+#: defaults, and a two-period history of each.
+HISTORY_GOVERNORS = [
+    (MenuGovernor, DequeMenu, 8),
+    (LadderGovernor, DequeLadder, 1),
+    (MenuGovernor, DequeMenu, 2),
+    (LadderGovernor, DequeLadder, 2),
+]
+
+
+class TestHistoryDifferential:
+    @given(
+        st.sampled_from(HISTORY_GOVERNORS),
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),  # core
+                st.one_of(st.integers(0, 300 * US), st.integers(0, 5 * MS)),
+                # re-selections (idle entry, rechecks, promotion checks)
+                st.lists(st.integers(0, 400 * US), max_size=4),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_list_history_equals_deque_history(self, kind, periods):
+        cls, reference_cls, history_len = kind
+        cstates = ProcessorConfig().cstate_table()
+        governor = cls(cstates, history_len=history_len)
+        reference = reference_cls(cstates, history_len=history_len)
+        cores = [IdleCore(0), IdleCore(1)]
+        for core_index, duration_ns, selects in periods:
+            core = cores[core_index]
+            core.idle_periods_completed += 1
+            core.last_idle_duration_ns = duration_ns
+            for already_ns in selects:
+                if cls is MenuGovernor:
+                    assert governor.predict_idle_ns(core, already_ns) == (
+                        reference.predict_idle_ns(core, already_ns)
+                    )
+                assert governor.select(core, already_ns) is (
+                    reference.select(core, already_ns)
+                )
+                assert governor._history[core.core_id] == list(
+                    reference._history[core.core_id]
+                )
+
+
 class TestCpuidleDriver:
     def test_disable_stops_new_entries(self):
         sim, package, sched = make()
