@@ -110,6 +110,10 @@ def run_suite(
     (attribution + warmup), then its repeat count of times unprofiled
     for the wall-clock statistics, so the timing never pays the
     profiler's trampolines.
+
+    A scenario's ``peak_rss_bytes`` is the process high-water mark after
+    that scenario (``ru_maxrss``), not its own peak: it includes every
+    scenario run before it in the same process.
     """
     scenarios: Dict[str, Any] = {}
     for scenario in suite.scenarios:
@@ -390,7 +394,7 @@ def format_suite_report(payload: Dict[str, Any], top_n: int = 5) -> str:
                 "IQR (ms)",
                 "events/s",
                 "sim-ns/wall-s",
-                "RSS (MB)",
+                "process peak RSS so far (MB)",
             ],
             rows,
             title=(

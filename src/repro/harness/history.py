@@ -35,6 +35,17 @@ TREND_METRICS: Tuple[Tuple[str, int], ...] = (
     ("peak_rss_bytes", +1),
 )
 
+#: Metrics tracked once per suite, as the largest value among a payload's
+#: scenarios, under the scenario label :data:`SUITE_SCENARIO`.  A
+#: scenario's ``peak_rss_bytes`` is the process high-water mark after it
+#: ran, so it carries every earlier scenario's peak too: tracked per
+#: scenario, one scenario's step would be flagged again in each scenario
+#: after it.  The largest value is the high-water mark of the whole suite.
+SUITE_METRICS = frozenset({"peak_rss_bytes"})
+
+#: The scenario label of a suite-level series.
+SUITE_SCENARIO = "(suite)"
+
 #: Fallback relative tolerance for metrics without a DEFAULT_TOLERANCES
 #: entry (events/s mirrors the wall gate; RSS is noisy across machines).
 _EXTRA_TOLERANCES: Dict[str, float] = {
@@ -140,7 +151,9 @@ def load_bench_history(paths: Sequence[str]) -> BenchHistory:
     """Parse payload files into per-(suite, scenario, metric) series.
 
     Series points are ordered by ``created_unix`` (ties broken by path,
-    so the ordering is deterministic across filesystems).
+    so the ordering is deterministic across filesystems).  A metric of
+    :data:`SUITE_METRICS` gives one series per suite, not one per
+    scenario.
     """
     history = BenchHistory()
     by_key: Dict[Tuple[str, str, str], List[TrendPoint]] = {}
@@ -157,14 +170,22 @@ def load_bench_history(paths: Sequence[str]) -> BenchHistory:
     for created, path, payload in loaded:
         suite = payload["suite"]
         platform = str(payload.get("platform", ""))
+        suite_values: Dict[str, float] = {}
         for scenario, entry in sorted(payload["scenarios"].items()):
             for metric, _ in TREND_METRICS:
                 value = _metric_value(entry, metric)
                 if value is None:
                     continue
+                if metric in SUITE_METRICS:
+                    suite_values[metric] = max(value, suite_values.get(metric, value))
+                    continue
                 by_key.setdefault((suite, scenario, metric), []).append(
                     TrendPoint(created, value, path, platform)
                 )
+        for metric, value in suite_values.items():
+            by_key.setdefault((suite, SUITE_SCENARIO, metric), []).append(
+                TrendPoint(created, value, path, platform)
+            )
     for key in sorted(by_key):
         suite, scenario, metric = key
         history.series.append(

@@ -9,6 +9,7 @@ import pytest
 
 from repro.harness.bench import BENCH_SCHEMA_VERSION
 from repro.harness.history import (
+    SUITE_SCENARIO,
     TREND_METRICS,
     discover_bench_files,
     flag_steps,
@@ -173,6 +174,34 @@ class TestStepFlags:
         assert [f.after.source for f in flags if f.metric == "wall_s.min"] == [
             paths[-1]
         ]
+
+    def test_memory_step_flagged_once_per_suite(self, tmp_path):
+        # ru_maxrss is a process high-water mark: when the first of three
+        # scenarios doubles its peak, the two run after it inherit it.
+        scenarios = ("a_first", "b_second", "c_third")
+        paths = [
+            write_payload(tmp_path / "v1.json",
+                          make_payload(created=1000.0, rss=1e8, scenarios=scenarios)),
+            write_payload(tmp_path / "v2.json",
+                          make_payload(created=2000.0, rss=2e8, scenarios=scenarios)),
+        ]
+        history = load_bench_history(paths)
+        memory = [f for f in flag_steps(history) if f.metric == "peak_rss_bytes"]
+        assert [(f.scenario, f.direction) for f in memory] == [
+            (SUITE_SCENARIO, "regressed")
+        ]
+        assert memory[0].ratio == pytest.approx(2.0)
+        assert [
+            s.scenario for s in history.series if s.metric == "peak_rss_bytes"
+        ] == [SUITE_SCENARIO]
+
+    def test_suite_memory_is_the_largest_scenario_value(self, tmp_path):
+        payload = make_payload(scenarios=("a", "b", "c"))
+        for name, rss in zip(("a", "b", "c"), (3e7, 5e7, 4e7)):
+            payload["scenarios"][name]["peak_rss_bytes"] = rss
+        history = load_bench_history([write_payload(tmp_path / "m.json", payload)])
+        series = history.get("micro", SUITE_SCENARIO, "peak_rss_bytes")
+        assert [p.value for p in series.points] == [5e7]
 
     def test_flags_sorted_worst_first(self, tmp_path):
         paths = [
