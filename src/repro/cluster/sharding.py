@@ -43,6 +43,7 @@ whole simulators.
 
 from __future__ import annotations
 
+import gc
 import time
 from array import array
 from collections import deque
@@ -152,7 +153,19 @@ class _ShardHost:
         return outstanding, reports
 
     def collect(self) -> List[ShardResult]:
-        return [self.shards[k].collect() for k in sorted(self.shards)]
+        """Measure every hosted shard, releasing each one's model
+        (simulator, stations, servers) as soon as it is measured.
+
+        The model is a cyclic graph, so a full collection frees it: the
+        next shard's measures and the merge that follows reuse its
+        memory instead of stacking on top of it.  A ``gc.freeze()``
+        taken after the shards were built would pin them.
+        """
+        results: List[ShardResult] = []
+        for k in sorted(self.shards):
+            results.append(self.shards.pop(k).collect())
+            gc.collect()
+        return results
 
 
 # -- process-pool worker plumbing ---------------------------------------
@@ -308,18 +321,29 @@ class ShardedDatacenterRun:
             )
 
     def inline_shards(self) -> List[ShardRun]:
-        """The in-process ShardRuns (serial mode only), in shard order."""
-        if self._inline_host is None:
+        """The in-process ShardRuns (serial mode only), in shard order.
+
+        :meth:`execute` releases each shard once it has measured it, so
+        take them before it runs.
+        """
+        host = self._serial_host()
+        return [host.shards[k] for k in sorted(host.shards)]
+
+    def _serial_host(self) -> _ShardHost:
+        if self._use_pool:
             raise RuntimeError("shards live in worker processes (jobs > 1)")
-        return [
-            self._inline_host.shards[k]
-            for k in sorted(self._inline_host.shards)
-        ]
+        if self._inline_host is None:
+            raise RuntimeError(
+                "the shards were released when execute() returned; "
+                "take them with inline_shards() before execute()"
+            )
+        return self._inline_host
 
     # -- the window loop -------------------------------------------------
 
     def execute(self) -> DatacenterResult:
         config = self.config
+        host = None if self._use_pool else self._serial_host()
         trace = self.observers.trace_requests
         planner: Optional[FrontendPlanner] = None
         if config.frontend is not None:
@@ -377,7 +401,7 @@ class ShardedDatacenterRun:
             if pool is not None:
                 pool.start_all()
             else:
-                self._inline_host.start()
+                host.start()
 
             pending: Deque[Dispatch] = deque()
             t = 0
@@ -403,9 +427,7 @@ class ShardedDatacenterRun:
                         t, w_end, injections, slot_of_shard
                     )
                 else:
-                    outstanding, reports = self._inline_host.advance(
-                        w_end, injections
-                    )
+                    outstanding, reports = host.advance(w_end, injections)
                 t_observe = time.perf_counter()
                 if planner is not None:
                     view = [0] * config.n_servers
@@ -445,7 +467,8 @@ class ShardedDatacenterRun:
             if pool is not None:
                 shard_results = pool.collect_all()
             else:
-                shard_results = self._inline_host.collect()
+                self._inline_host = None
+                shard_results = host.collect()
         finally:
             if pool is not None:
                 pool.close()

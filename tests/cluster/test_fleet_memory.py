@@ -5,7 +5,8 @@ is what grows with fleet size.  The tables a package is built from are
 the same on every server of one ``ProcessorConfig`` value, so one set
 serves them all; the power model's price memo is a pure function of
 ``(mode, V, f)``, so a run that fills it leaves nothing another run
-could read differently.
+could read differently.  A fleet run releases each shard's model once
+it is measured, so the merge does not stack on top of it.
 
 The file imports no pytest, so an interpreter without pytest can run its
 ``test_*`` functions directly.
@@ -13,6 +14,7 @@ The file imports no pytest, so an interpreter without pytest can run its
 
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 from repro.cluster.datacenter import DatacenterConfig
@@ -45,10 +47,16 @@ FLEET = DatacenterConfig(
     ),
 )
 
-#: Bytes a fleet server may retain once built.  About 23 KB under Python
-#: 3.10-3.13; a server that built its own processor tables and kept a
-#: deque per core and a formatted copy of every stat name took 31-36 KB.
+#: Bytes a fleet server may retain once built.  About 22-23 KB under
+#: Python 3.9-3.13; a server that built its own processor tables and kept
+#: a deque per core and a formatted copy of every stat name took 31-36 KB.
 SERVER_BUDGET_BYTES = 28_000
+
+#: Traced peak of a serial ``execute()`` per server, the built model
+#: included.  37.0-39.0 KB under Python 3.9-3.13 (37.4 KB under 3.11),
+#: so the bound leaves a 5-10% margin; a run that merged while every
+#: shard's model was still alive peaked at 42.9-46.5 KB.
+EXECUTE_PEAK_BYTES = 41_000
 
 
 def packages(run):
@@ -83,6 +91,45 @@ def test_fleet_server_retains_at_most_28_kb():
         tracemalloc.stop()
     assert len(packages(run)) == N_SERVERS
     assert retained / N_SERVERS <= SERVER_BUDGET_BYTES, retained / N_SERVERS
+
+
+def test_execute_peaks_at_most_41_kb_per_server():
+    # A two-server fleet first, so modules a run imports on first use are
+    # not charged to the servers measured.
+    ShardedDatacenterRun(replace(FLEET, n_servers=2, total_rps=4_000.0), jobs=1).execute()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ShardedDatacenterRun(FLEET, jobs=1).execute()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / N_SERVERS <= EXECUTE_PEAK_BYTES, peak / N_SERVERS
+
+
+def tiny_fleet():
+    return ShardedDatacenterRun(replace(FLEET, n_servers=4, total_rps=8_000.0), jobs=1)
+
+
+def test_execute_releases_every_shard():
+    run = tiny_fleet()
+    sims = [weakref.ref(shard.sim) for shard in run.inline_shards()]
+    assert len(sims) == 2 and all(ref() is not None for ref in sims)
+    result = run.execute()
+    assert [ref() for ref in sims] == [None, None]
+    assert len(result.servers) == 4
+
+
+def test_inline_shards_raises_once_released():
+    run = tiny_fleet()
+    run.execute()
+    try:
+        run.inline_shards()
+    except RuntimeError as exc:
+        assert "released" in str(exc), exc
+    else:
+        raise AssertionError("inline_shards() returned released shards")
 
 
 def test_every_fleet_server_shares_one_set_of_tables():

@@ -211,15 +211,16 @@ class TestDeclaredSuites:
         execute = ShardedDatacenterRun.execute
 
         def capture(self):
+            # execute() releases the shards, so they are taken before it.
+            shards = self.inline_shards()
             result = execute(self)
-            runs.append((self, result))
+            runs.append((shards, result))
             return result
 
         monkeypatch.setattr(ShardedDatacenterRun, "execute", capture)
         profiler = SimProfiler()
         stats = datacenter_sharded(profiler)
-        ((run, result),) = runs
-        shards = run.inline_shards()
+        ((shards, result),) = runs
         assert len(shards) == 2
         total = sum(shard.sim.events_executed for shard in shards)
         assert stats.events == total
