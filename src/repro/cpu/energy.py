@@ -9,11 +9,16 @@ per-mode residency, which Figure 4(b) style analyses need (time in C1/C3/C6).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.cpu.power import PowerMode, PowerModel
 from repro.sim.kernel import Simulator
+
+#: Each table slot's report key (:attr:`PowerMode.slot` order).
+_SLOT_KEYS: Tuple[str, ...] = tuple(mode.value for mode in PowerMode)
+_ZEROS = bytes(8 * len(_SLOT_KEYS))
 
 
 @dataclass
@@ -44,19 +49,23 @@ class PowerMeter:
     :meth:`report` books it: the open segment closes at the due time, the
     mode switches, then the segment closes up to now — the same split
     points, in the same order, as an event firing at the due time.
+
+    Per-mode residency and energy sit in two fixed tables, one slot per
+    :class:`PowerMode` (:attr:`PowerMode.slot`), with the order in which
+    modes were first booked; the per-mode dicts are built on read.
     """
 
     __slots__ = (
-        "_sim", "_model", "_mode", "_key", "_voltage", "_freq_hz",
+        "_sim", "_model", "_mode", "_slot", "_voltage", "_freq_hz",
         "_segment_start", "_power_w", "_started", "_due_mode", "_due_ns",
-        "energy_j", "residency_ns", "energy_by_mode_j",
+        "energy_j", "residency_table", "energy_table", "_order",
     )
 
     def __init__(self, sim: Simulator, model: PowerModel):
         self._sim = sim
         self._model = model
         self._mode: PowerMode = PowerMode.IDLE_POLL
-        self._key: str = PowerMode.IDLE_POLL.value
+        self._slot: int = PowerMode.IDLE_POLL.slot
         self._voltage: float = 0.0
         self._freq_hz: float = 0.0
         self._segment_start: int = sim.now
@@ -65,13 +74,16 @@ class PowerMeter:
         self._due_mode: Optional[PowerMode] = None
         self._due_ns: int = 0
         self.energy_j: float = 0.0
-        self.residency_ns: Dict[str, int] = {}
-        self.energy_by_mode_j: Dict[str, float] = {}
+        #: Nanoseconds and joules booked per mode, by slot (read-only).
+        self.residency_table = array("q", _ZEROS)
+        self.energy_table = array("d", _ZEROS)
+        #: Slots in the order their modes were first booked.
+        self._order: Tuple[int, ...] = ()
 
     def start(self, mode: PowerMode, voltage: float, freq_hz: float) -> None:
         """Begin metering (call once when the core comes up)."""
         self._mode = mode
-        self._key = mode.value
+        self._slot = mode.slot
         self._voltage = voltage
         self._freq_hz = freq_hz
         self._segment_start = self._sim.now
@@ -91,8 +103,7 @@ class PowerMeter:
         self._close_segment()
         self._due_mode = None
         self._mode = mode
-        # ``_value_`` is the plain attribute behind the ``value`` descriptor.
-        self._key = mode._value_
+        self._slot = mode.slot
         if voltage is not None:
             self._voltage = voltage
         if freq_hz is not None:
@@ -123,7 +134,7 @@ class PowerMeter:
             self._book(self._due_ns)
             self._due_mode = None
             self._mode = due_mode
-            self._key = due_mode._value_
+            self._slot = due_mode.slot
             self._power_w = self._model.core_power_w(
                 due_mode, self._voltage, self._freq_hz
             )
@@ -134,20 +145,36 @@ class PowerMeter:
         if dt_ns > 0:
             joules = self._power_w * dt_ns * 1e-9
             self.energy_j += joules
-            key = self._key
-            self.residency_ns[key] = self.residency_ns.get(key, 0) + dt_ns
-            self.energy_by_mode_j[key] = self.energy_by_mode_j.get(key, 0.0) + joules
+            slot = self._slot
+            residency = self.residency_table
+            booked_ns = residency[slot]
+            if not booked_ns:
+                self._order += (slot,)
+            residency[slot] = booked_ns + dt_ns
+            self.energy_table[slot] += joules
         self._segment_start = until
 
     def sync(self) -> None:
         """Book the open segment up to ``sim.now`` without changing mode.
 
-        Cumulative ``energy_j`` / ``residency_ns`` / ``energy_by_mode_j``
-        are current after this call; the next ``set_mode`` then closes a
-        zero-length segment, so syncing never perturbs the totals.
+        Cumulative ``energy_j`` and the per-mode tables are current after
+        this call; the next ``set_mode`` then closes a zero-length
+        segment, so syncing never perturbs the totals.
         """
         if self._started:
             self._close_segment()
+
+    @property
+    def residency_ns(self) -> Dict[str, int]:
+        """Nanoseconds booked per mode so far, in first-booked order."""
+        table = self.residency_table
+        return {_SLOT_KEYS[slot]: table[slot] for slot in self._order}
+
+    @property
+    def energy_by_mode_j(self) -> Dict[str, float]:
+        """Joules booked per mode so far, in first-booked order."""
+        table = self.energy_table
+        return {_SLOT_KEYS[slot]: table[slot] for slot in self._order}
 
     @property
     def mode(self) -> PowerMode:
@@ -162,6 +189,6 @@ class PowerMeter:
             self._close_segment()
         return EnergyReport(
             energy_j=self.energy_j,
-            residency_ns=dict(self.residency_ns),
-            energy_by_mode_j=dict(self.energy_by_mode_j),
+            residency_ns=self.residency_ns,
+            energy_by_mode_j=self.energy_by_mode_j,
         )

@@ -40,6 +40,11 @@ class PowerMode(enum.Enum):
     C3 = "C3"
     C6 = "C6"
 
+    def __init__(self, value: str) -> None:
+        #: The mode's slot in a power meter's per-mode tables: its place
+        #: in this definition, from 0.
+        self.slot = len(type(self).__members__)
+
 
 SLEEP_MODES = (PowerMode.C1, PowerMode.C3, PowerMode.C6)
 

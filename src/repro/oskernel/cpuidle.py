@@ -331,9 +331,12 @@ def build_idle_accounting(cstates: CStateTable, governor=None) -> "IdleAccountin
     return IdleAccounting(cstates, name, limit)
 
 
-#: Meter modes a core can occupy while idle, shallow to deep.  ``"idle"``
-#: is C0 polling (:attr:`~repro.cpu.power.PowerMode.IDLE_POLL`).
-_IDLE_MODE_KEYS = ("idle", "C1", "C3", "C6")
+#: Meter modes a core can occupy while idle, shallow to deep, as
+#: ``(meter slot, name)``.  ``"idle"`` is C0 polling.
+_IDLE_MODES = tuple(
+    (mode.slot, mode.value)
+    for mode in (PowerMode.IDLE_POLL, PowerMode.C1, PowerMode.C3, PowerMode.C6)
+)
 
 #: The "chose C0 / oracle says C0" pseudo-state name in verdicts and
 #: per-state floor breakdowns.
@@ -384,8 +387,9 @@ class IdleAccounting:
         self.floor_j_by_state: Dict[str, float] = {}
         self.floor_ns_by_state: Dict[str, int] = {}
         self.wasted_shallow_j = 0.0
-        self._last_e: Dict[int, Dict[str, float]] = {}
-        self._last_r: Dict[int, Dict[str, int]] = {}
+        #: Per core: the meter's idle-mode energy and residency at its
+        #: last booking, in :data:`_IDLE_MODES` order.
+        self._last: Dict[int, Tuple[List[float], List[int]]] = {}
         self._cores: List[Core] = []
 
     def attach(self, cores: Iterable[Core]) -> None:
@@ -406,23 +410,26 @@ class IdleAccounting:
         meter = core.meter
         meter.sync()
         core_id = core.core_id
-        last_e = self._last_e.get(core_id)
-        if last_e is None:
-            last_e = self._last_e[core_id] = {}
-            self._last_r[core_id] = {}
-        last_r = self._last_r[core_id]
+        last = self._last.get(core_id)
+        if last is None:
+            last = self._last[core_id] = (
+                [0.0] * len(_IDLE_MODES), [0] * len(_IDLE_MODES)
+            )
+        last_e, last_r = last
+        energy = meter.energy_table
+        residency = meter.residency_table
         idle_e = 0.0
         idle_ns = 0
         chosen: Optional[CState] = None
-        for key in _IDLE_MODE_KEYS:
-            cur_e = meter.energy_by_mode_j.get(key, 0.0)
-            cur_r = meter.residency_ns.get(key, 0)
-            de = cur_e - last_e.get(key, 0.0)
-            dr = cur_r - last_r.get(key, 0)
-            last_e[key] = cur_e
-            last_r[key] = cur_r
-            if dr > 0 and key != "idle":
-                chosen = self.cstates.by_name(key)
+        for i, (slot, name) in enumerate(_IDLE_MODES):
+            cur_e = energy[slot]
+            cur_r = residency[slot]
+            de = cur_e - last_e[i]
+            dr = cur_r - last_r[i]
+            last_e[i] = cur_e
+            last_r[i] = cur_r
+            if dr > 0 and name != "idle":
+                chosen = self.cstates.by_name(name)
             idle_e += de
             idle_ns += dr
         if idle_ns == 0 and idle_e == 0.0 and not classify:
