@@ -137,8 +137,9 @@ class ServerApp:
         track = _RequestTrack(self._sim.now) if self._account_probe.enabled else None
         job = Job(
             self.service_cycles(frame),
-            on_complete=lambda: self._after_service(frame, hint, track),
+            on_complete=self._after_service,
             name="service",
+            args=(frame, hint, track),
         )
         if track is not None:
             job.account = track.svc
@@ -173,8 +174,9 @@ class ServerApp:
         cycles += self._costs.tx_message_cycles(segments_for(size))
         job = Job(
             cycles,
-            on_complete=lambda: self._send_response(frame, size, track),
+            on_complete=self._send_response,
             name="response",
+            args=(frame, size, track),
         )
         if track is not None:
             track.resp_enqueue_ns = self._sim.now

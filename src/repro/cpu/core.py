@@ -68,16 +68,24 @@ class ExecAccount:
 
 
 class Job:
-    """A unit of work measured in core cycles."""
+    """A unit of work measured in core cycles.
 
-    __slots__ = ("name", "total_cycles", "remaining", "on_complete", "kernel", "account")
+    ``on_complete(*args)`` runs when the last cycle retires: a bound
+    method and its ``args`` cost less to keep in flight than a closure.
+    """
+
+    __slots__ = (
+        "name", "total_cycles", "remaining", "on_complete", "args", "kernel",
+        "account",
+    )
 
     def __init__(
         self,
         cycles: float,
-        on_complete: Optional[Callable[[], None]] = None,
+        on_complete: Optional[Callable[..., None]] = None,
         name: str = "",
         kernel: bool = False,
+        args: tuple = (),
     ):
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
@@ -85,6 +93,7 @@ class Job:
         self.total_cycles = float(cycles)
         self.remaining = float(cycles)
         self.on_complete = on_complete
+        self.args = args
         self.kernel = kernel
         #: Optional :class:`ExecAccount`; None keeps the hot path at a
         #: single attribute check per charge point.
@@ -302,7 +311,7 @@ class Core:
         self._current = None
         self._maybe_run_next()
         if job.on_complete is not None:
-            job.on_complete()
+            job.on_complete(*job.args)
 
     def _maybe_run_next(self) -> None:
         if self._pending:

@@ -15,8 +15,8 @@ templates such as ``GET``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional
 
 #: Ethernet maximum transmission unit (bytes of L3 payload).
 MTU = 1500
@@ -40,6 +40,20 @@ def wire_bytes_for(payload_bytes: int) -> int:
     return payload_bytes + segments_for(payload_bytes) * HEADER_BYTES
 
 
+def _slotted(cls: type) -> type:
+    """``dataclass(slots=True)`` for Python 3.9, which lacks it: the
+    dataclass ``cls`` rebuilt with one slot per field and no ``__dict__``,
+    as Python 3.10+ builds it."""
+    names = tuple(f.name for f in fields(cls))
+    body = {
+        key: value for key, value in vars(cls).items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    body["__slots__"] = names
+    return type(cls.__name__, cls.__bases__, body)
+
+
+@_slotted
 @dataclass
 class Frame:
     """One unit of link transfer (a packet or a segment train)."""
@@ -70,6 +84,18 @@ class Frame:
         return self.n_segments == 1
 
 
+#: One ``payload_prefix`` object per distinct request prefix, shared by
+#: every request frame that starts with it (``get key:`` for every
+#: Memcached get).  Like ``sys.intern``, an entry is a pure function of
+#: its key, so sharing the table cannot change what any caller reads.
+_PREFIXES: Dict[bytes, bytes] = {}
+
+
+def _prefix(line: bytes) -> bytes:
+    prefix = line[:8]
+    return _PREFIXES.setdefault(prefix, prefix)
+
+
 def make_http_request(
     src: str,
     dst: str,
@@ -85,7 +111,7 @@ def make_http_request(
         dst=dst,
         payload_bytes=len(line),
         kind="request",
-        payload_prefix=line[:8],
+        payload_prefix=_prefix(line),
         req_id=req_id,
         created_ns=created_ns,
     )
@@ -106,7 +132,7 @@ def make_memcached_request(
         dst=dst,
         payload_bytes=len(line),
         kind="request",
-        payload_prefix=line[:8],
+        payload_prefix=_prefix(line),
         req_id=req_id,
         created_ns=created_ns,
     )

@@ -1,5 +1,7 @@
 """Tests for frames and protocol helpers."""
 
+import pickle
+
 import pytest
 
 from repro.net import (
@@ -56,6 +58,31 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame("a", "b", -1)
 
+    def test_slots_and_no_instance_dict(self):
+        frame = Frame("a", "b", 10)
+        assert not hasattr(frame, "__dict__")
+        with pytest.raises(AttributeError):
+            frame.extra = 1
+
+    def test_pickle_round_trip(self):
+        # Pool injections carry frames between processes.
+        frame = make_memcached_request("c", "s", key="key:7", req_id=9, created_ns=5)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(frame, protocol))
+            assert copy == frame and copy is not frame
+            assert (copy.frame_id, copy.n_segments, copy.wire_bytes) == (
+                frame.frame_id, frame.n_segments, frame.wire_bytes
+            )
+
+    def test_repr_and_equality(self):
+        frame = Frame("a", "b", 3000, kind="response", req_id=4, frame_id=17)
+        assert repr(frame) == (
+            "Frame(src='a', dst='b', payload_bytes=3000, kind='response', "
+            "payload_prefix=b'', req_id=4, created_ns=0, frame_id=17)"
+        )
+        assert frame == Frame("a", "b", 3000, kind="response", req_id=4, frame_id=17)
+        assert frame != Frame("a", "b", 3000, kind="response", req_id=4, frame_id=18)
+
 
 class TestProtocolHelpers:
     def test_http_request_prefix_is_method(self):
@@ -72,6 +99,16 @@ class TestProtocolHelpers:
         frame = make_memcached_request("c", "s", command="get", key="user:17")
         assert frame.payload_prefix.startswith(b"get ")
         assert frame.is_single_packet
+
+    def test_request_frames_share_one_prefix_object(self):
+        a = make_memcached_request("c", "s", key="key:1")
+        b = make_memcached_request("c", "s", key="key:2")
+        assert a.payload_prefix == b"get key:"
+        assert a.payload_prefix is b.payload_prefix
+        assert (
+            make_http_request("c", "s").payload_prefix
+            is make_http_request("d", "t").payload_prefix
+        )
 
     def test_memcached_set_prefix(self):
         frame = make_memcached_request("c", "s", command="set", key="k")
