@@ -10,14 +10,14 @@ P/C-state transition penalty behind the NIC→memory delivery latency.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.config import NCAPConfig
 from repro.core.decision_engine import DecisionEngine
 from repro.core.req_monitor import ReqMonitor
 from repro.core.tx_counter import TxBytesCounter
 from repro.net.nic import NIC
-from repro.oskernel.sysfs import SysFS
+from repro.oskernel.sysfs import DirAttribute, SysFS
 from repro.sim.kernel import Event, Simulator
 
 
@@ -92,22 +92,33 @@ class NCAPHardware:
     # -- administration -------------------------------------------------------
 
     def register_sysfs(self, sysfs: SysFS, prefix: str = "/sys/class/net/eth0/ncap") -> None:
-        """Expose the paper's programmable registers through sysfs."""
-        sysfs.register(
-            f"{prefix}/templates",
-            read=lambda: ",".join(t.decode("latin-1") for t in self.req_monitor.templates),
-            write=lambda v: self.req_monitor.program_templates(
-                [t.encode("latin-1") for t in v.split(",") if t]
-            ),
-        )
-        sysfs.register(f"{prefix}/rht_rps", initial=str(self.config.rht_rps))
-        sysfs.register(f"{prefix}/rlt_rps", initial=str(self.config.rlt_rps))
-        sysfs.register(f"{prefix}/tlt_bps", initial=str(self.config.tlt_bps))
-        sysfs.register(f"{prefix}/cit_us", initial=str(self.config.cit_ns // 1000))
-        sysfs.register(f"{prefix}/fcons", initial=str(self.config.fcons))
-        sysfs.register(
-            f"{prefix}/reqcnt", read=lambda: str(self.req_monitor.req_cnt)
-        )
-        sysfs.register(
-            f"{prefix}/txcnt", read=lambda: str(self.tx_counter.tx_bytes)
-        )
+        """Expose the paper's programmable registers through sysfs.
+
+        The template registers are writable; the thresholds are read-only
+        views of the engine's config, and ``reqcnt``/``txcnt`` of the
+        live counters.
+        """
+        sysfs.register_dir(prefix, self, SYSFS_ATTRIBUTES)
+
+
+def _read_templates(hw: NCAPHardware) -> str:
+    return ",".join(t.decode("latin-1") for t in hw.req_monitor.templates)
+
+
+def _write_templates(hw: NCAPHardware, value: str) -> None:
+    hw.req_monitor.program_templates(
+        [t.encode("latin-1") for t in value.split(",") if t]
+    )
+
+
+#: NCAP's sysfs directory, one table for every NIC: name -> (read, write).
+SYSFS_ATTRIBUTES: Dict[str, DirAttribute] = {
+    "templates": (_read_templates, _write_templates),
+    "rht_rps": (lambda hw: str(hw.engine.config.rht_rps), None),
+    "rlt_rps": (lambda hw: str(hw.engine.config.rlt_rps), None),
+    "tlt_bps": (lambda hw: str(hw.engine.config.tlt_bps), None),
+    "cit_us": (lambda hw: str(hw.engine.config.cit_ns // 1000), None),
+    "fcons": (lambda hw: str(hw.engine.config.fcons), None),
+    "reqcnt": (lambda hw: str(hw.req_monitor.req_cnt), None),
+    "txcnt": (lambda hw: str(hw.tx_counter.tx_bytes), None),
+}

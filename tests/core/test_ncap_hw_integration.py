@@ -18,6 +18,7 @@ from repro.oskernel import (
     NetStackCosts,
     Scheduler,
     SysFS,
+    SysfsError,
 )
 from repro.sim import Simulator
 from repro.sim.units import MS, US
@@ -138,6 +139,41 @@ class TestSysfs:
         rig.send_burst(3)
         rig.sim.run(until=MS)
         assert int(fs.read("/sys/class/net/eth0/ncap/reqcnt")) == 3
+
+    def test_thresholds_and_counters_are_read_only(self):
+        rig = Rig(NCAPConfig(rht_rps=40_000.0, cit_ns=300 * US, fcons=2))
+        fs = SysFS()
+        rig.hw.register_sysfs(fs)
+        prefix = "/sys/class/net/eth0/ncap"
+        assert fs.ls(prefix) == [
+            f"{prefix}/{name}"
+            for name in ("cit_us", "fcons", "reqcnt", "rht_rps", "rlt_rps",
+                         "templates", "tlt_bps", "txcnt")
+        ]
+        shown = {
+            name: fs.read(f"{prefix}/{name}")
+            for name in ("rht_rps", "rlt_rps", "tlt_bps", "cit_us", "fcons")
+        }
+        assert shown == {
+            "rht_rps": "40000.0", "rlt_rps": "5000.0", "tlt_bps": "5000000.0",
+            "cit_us": "300", "fcons": "2",
+        }
+        for name in (*shown, "reqcnt", "txcnt"):
+            with pytest.raises(SysfsError, match=f"{name} is read-only"):
+                fs.write(f"{prefix}/{name}", "1")
+        assert fs.read(f"{prefix}/rht_rps") == "40000.0"
+        assert rig.hw.engine.config.rht_rps == 40_000.0
+
+    def test_servers_share_one_attribute_table(self):
+        rigs = [Rig(), Rig()]
+        fs = SysFS()
+        for i, rig in enumerate(rigs):
+            rig.hw.register_sysfs(fs, prefix=f"/sys/class/net/server{i}/ncap")
+        rigs[1].send_burst(2)
+        rigs[1].sim.run(until=MS)
+        assert fs.read("/sys/class/net/server0/ncap/reqcnt") == "0"
+        assert fs.read("/sys/class/net/server1/ncap/reqcnt") == "2"
+        assert len(fs.ls()) == 16
 
 
 class TestLifecycle:
